@@ -12,6 +12,8 @@ measures mu_i,
             - 2 int |<k1(., s), k2(., s)>| sqrt(mu1 mu2)(ds),
 
 where the geometric mean sqrt(mu1 mu2) vanishes on mutually singular parts.
+With densities on shared nodes this equals int ||k1 sqrt(rho1) - sigma k2
+sqrt(rho2)||^2 ds, sigma = sign <k1, k2>, which is how it is summed.
 Higher multiplicity replaces the absolute value by a trace norm of the
 matrix of component inner products.  A partition-based triangular integral
 approximates the cross term directly and serves as a structural cross-check.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -237,118 +239,106 @@ def _eval_components(kernels: Sequence[VolterraKernel], t_mat: np.ndarray, s: np
     return out
 
 
-def _stieltjes_trace(kernel: VolterraKernel, measure: IntensityMeasure, T: float,
-                     grid: QuadratureGrid) -> float:
-    """Trace term against a singular measure via a Stieltjes sum."""
-    edges = np.linspace(0.0, T, grid.n_singular + 1)
-    dmu = measure.cdf_increments(edges)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    live = dmu > 0.0
-    mids, dmu = mids[live], dmu[live]
-    gamma_t = grading_exponent(max(0.0, -2.0 * kernel.diag_exponent), kernel.grading_hurst)
-    t_mat, w_mat = _t_matrix(mids, T, grid.n_t, gamma_t, "midpoint")
-    vals = _eval_components([kernel], t_mat, mids)[0]
-    norms = np.sum(vals * vals * w_mat, axis=1)
-    return float(np.sum(norms * dmu))
+def _nodes(measure: IntensityMeasure, T: float, grid: QuadratureGrid, gamma_s: float,
+           gamma_t: float, scheme: str) -> tuple[np.ndarray, ...]:
+    """Node set (s, ws, t_mat, w_mat) for the s-integral against ``measure``.
+
+    An absolutely continuous measure gets graded s-nodes with Lebesgue weights
+    (its density enters separately); a singular one a Stieltjes sum over its
+    charged cells, with midpoint rules in t.
+    """
+    if measure.is_singular:
+        edges = np.linspace(0.0, T, grid.n_singular + 1)
+        dmu = measure.cdf_increments(edges)
+        live = dmu > 0.0
+        s, ws = 0.5 * (edges[1:] + edges[:-1])[live], dmu[live]
+        scheme = "midpoint"
+    else:
+        s, ws = _s_nodes(T, grid.n_s, gamma_s, scheme)
+    t_mat, w_mat = _t_matrix(s, T, grid.n_t, gamma_t, scheme)
+    return s, ws, t_mat, w_mat
+
+
+def _densities(measures: Sequence[IntensityMeasure], s: np.ndarray) -> np.ndarray:
+    """Component densities relative to the node weights; shape (m, n_s)."""
+    if measures[0].is_singular:
+        return np.ones((1, s.size))
+    return np.stack([meas.density_at(s) for meas in measures])
+
+
+def _trace_term(vals: np.ndarray, rho: np.ndarray, ws: np.ndarray, w_mat: np.ndarray) -> float:
+    return float(np.sum(np.einsum("ist,ist,st->is", vals, vals, w_mat) * rho * ws))
 
 
 def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
-                   grid: QuadratureGrid, scheme: str, use_trace_norm: bool
-                   ) -> DistanceReport:
+                   grid: QuadratureGrid, scheme: str) -> DistanceReport:
+    """One quadrature pass that evaluates each kernel once per node set.
+
+    Unit multiplicity sums ||k1 sqrt(rho1) - sigma k2 sqrt(rho2)||^2 node by
+    node with sigma = sign <k1, k2>: the value has no cancellation and is
+    exactly 0 for identical inputs.  Higher multiplicity subtracts twice the
+    per-node trace norm from the trace term.
+    """
     if abs(spec1.T - spec2.T) > 1e-12:
         raise DomainError("horizon mismatch between process specs")
     T = spec1.T
     spec1.validate_ordering()
     spec2.validate_ordering()
-    kernels1 = [k for k, _ in spec1.components]
-    kernels2 = [k for k, _ in spec2.components]
-    measures1 = [m for _, m in spec1.components]
-    measures2 = [m for _, m in spec2.components]
+    kernels1, measures1 = zip(*spec1.components)
+    kernels2, measures2 = zip(*spec2.components)
     m, n = len(kernels1), len(kernels2)
-
-    singular1 = measures1[0].is_singular
-    singular2 = measures2[0].is_singular
+    singular1, singular2 = measures1[0].is_singular, measures2[0].is_singular
     if (singular1 or singular2) and (m > 1 or n > 1):
         raise DomainError("singular measures are supported at unit multiplicity only")
+    if singular1 and singular2 and measures1[0].singular_tag != measures2[0].singular_tag:
+        raise DomainError("cannot mix distinct singular measures")
 
     gamma_s, gamma_t = _pair_gammas(kernels1, kernels2)
-
-    # trace terms (component sums); singular measure -> Stieltjes sum
-    def trace_side(kernels, measures):
-        total = 0.0
-        if measures[0].is_singular:
-            return _stieltjes_trace(kernels[0], measures[0], T, grid)
-        s, ws = _s_nodes(T, grid.n_s, gamma_s, scheme)
-        t_mat, w_mat = _t_matrix(s, T, grid.n_t, gamma_t, scheme)
-        vals = _eval_components(kernels, t_mat, s)
-        norms = np.einsum("ist,ist,st->is", vals, vals, w_mat)
-        for i, meas in enumerate(measures):
-            total += float(np.sum(norms[i] * meas.density_at(s) * ws))
-        return total
-
-    trace = trace_side(kernels1, measures1) + trace_side(kernels2, measures2)
-
-    # cross term against the geometric mean of the leading measures
-    if singular1 != singular2:
-        # mutually singular: geometric mean vanishes, any coupling is optimal
-        cross = 0.0
-        corr = None
-    else:
-        s, ws = _s_nodes(T, grid.n_s, gamma_s, scheme)
-        t_mat, w_mat = _t_matrix(s, T, grid.n_t, gamma_t, scheme)
-        v1 = _eval_components(kernels1, t_mat, s)
-        v2 = _eval_components(kernels2, t_mat, s)
-        if singular1 and singular2:
-            if measures1[0].singular_tag != measures2[0].singular_tag:
-                raise DomainError("cannot mix distinct singular measures")
-            # identical singular tags: geometric mean is the measure itself
-            edges = np.linspace(0.0, T, grid.n_singular + 1)
-            dgeo = measures1[0].cdf_increments(edges)
-            mids = 0.5 * (edges[1:] + edges[:-1])
-            live = dgeo > 0.0
-            mids, dgeo = mids[live], dgeo[live]
-            t_m, w_m = _t_matrix(mids, T, grid.n_t, gamma_t, "midpoint")
-            ip = np.sum(_eval_components(kernels1, t_m, mids)[0]
-                        * _eval_components(kernels2, t_m, mids)[0] * w_m, axis=1)
-            cross = float(np.sum(np.abs(ip) * dgeo))
-            corr = np.where(ip >= 0.0, 1.0, -1.0)
-        elif use_trace_norm:
-            rho1 = np.stack([meas.density_at(s) for meas in measures1])
-            rho2 = np.stack([meas.density_at(s) for meas in measures2])
-            # Radon-Nikodym ratios against the leading measures, 0/0 -> 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r1 = np.sqrt(np.where(rho1[0] > 0.0, rho1 / rho1[0], 0.0))
-                r2 = np.sqrt(np.where(rho2[0] > 0.0, rho2 / rho2[0], 0.0))
-            ip = np.einsum("ist,jst,st->sij", v1, v2, w_mat)
-            scaled = ip * r1.T[:, :, None] * r2.T[:, None, :]
-            u_svd, sing, vh_svd = np.linalg.svd(scaled, full_matrices=False)
-            tracenorm = np.sum(sing, axis=1)
-            geo = np.sqrt(rho1[0] * rho2[0])
-            cross = float(np.sum(tracenorm * geo * ws))
-            corr = np.matmul(u_svd, vh_svd)  # per-node optimal coupling factor
-        else:
-            ip = np.einsum("st,st,st->s", v1[0], v2[0], w_mat)
-            geo = np.sqrt(measures1[0].density_at(s) * measures2[0].density_at(s))
-            cross = float(np.sum(np.abs(ip) * geo * ws))
-            corr = np.where(ip >= 0.0, 1.0, -1.0)
-
     meta = grid.meta()
     meta.update({"scheme": scheme, "gamma_s": gamma_s, "gamma_t": gamma_t,
                  "multiplicity": [m, n]})
-    return DistanceReport(
-        distance_squared=trace - 2.0 * cross,
-        trace_term=trace,
-        cross_term=cross,
-        optimal_correlation=corr,
-        grid_meta=meta,
-    )
+
+    if singular1 != singular2:
+        # mutually singular: the geometric mean vanishes, any coupling is optimal
+        trace = 0.0
+        for kernels, measures in ((kernels1, measures1), (kernels2, measures2)):
+            s, ws, t_mat, w_mat = _nodes(measures[0], T, grid, gamma_s, gamma_t, scheme)
+            trace += _trace_term(_eval_components(kernels, t_mat, s),
+                                 _densities(measures, s), ws, w_mat)
+        return DistanceReport(trace, trace, 0.0, None, meta)
+
+    # shared nodes; for a same-tag singular pair the geometric mean is the measure itself
+    s, ws, t_mat, w_mat = _nodes(measures1[0], T, grid, gamma_s, gamma_t, scheme)
+    v1 = _eval_components(kernels1, t_mat, s)
+    v2 = _eval_components(kernels2, t_mat, s)
+    rho1, rho2 = _densities(measures1, s), _densities(measures2, s)
+    trace = _trace_term(v1, rho1, ws, w_mat) + _trace_term(v2, rho2, ws, w_mat)
+    ip = np.einsum("ist,jst,st->sij", v1, v2, w_mat)
+    geo = np.sqrt(rho1[0] * rho2[0])
+    if m == n == 1:
+        ip = ip[:, 0, 0]
+        corr = np.where(ip >= 0.0, 1.0, -1.0)
+        cross = float(np.sum(np.abs(ip) * geo * ws))
+        diff = v1[0] * np.sqrt(rho1[0])[:, None] - (corr * np.sqrt(rho2[0]))[:, None] * v2[0]
+        dist = float(np.sum(np.einsum("st,st,st->s", diff, diff, w_mat) * ws))
+    else:
+        # Radon-Nikodym ratios against the leading measures, 0/0 -> 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r1 = np.sqrt(np.where(rho1[0] > 0.0, rho1 / rho1[0], 0.0))
+            r2 = np.sqrt(np.where(rho2[0] > 0.0, rho2 / rho2[0], 0.0))
+        u_svd, sing, vh_svd = np.linalg.svd(ip * r1.T[:, :, None] * r2.T[:, None, :],
+                                            full_matrices=False)
+        cross = float(np.sum(np.sum(sing, axis=1) * geo * ws))
+        corr = np.matmul(u_svd, vh_svd)  # per-node optimal coupling factor
+        dist = trace - 2.0 * cross
+    return DistanceReport(dist, trace, cross, corr, meta)
 
 
-def _run_with_crosscheck(run: Callable[[str], DistanceReport],
+def _run_with_crosscheck(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
                          grid: QuadratureGrid) -> DistanceReport:
-    report = run("midpoint")
+    report = _distance_core(spec1, spec2, grid, "midpoint")
     if grid.crosscheck_rtol is not None:
-        alt = run("gauss")
+        alt = _distance_core(spec1, spec2, grid, "gauss")
         scale = max(abs(report.distance_squared), abs(report.trace_term), 1e-30)
         rel = abs(alt.distance_squared - report.distance_squared) / scale
         if rel > grid.crosscheck_rtol:
@@ -364,9 +354,7 @@ def continuous_aw_unit(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     """Squared adapted Wasserstein distance, unit multiplicity canonical specs."""
     if spec1.multiplicity != 1 or spec2.multiplicity != 1:
         raise DomainError("continuous_aw_unit requires unit multiplicity")
-    grid = grid or QuadratureGrid()
-    return _run_with_crosscheck(
-        lambda scheme: _distance_core(spec1, spec2, grid, scheme, use_trace_norm=False), grid)
+    return _run_with_crosscheck(spec1, spec2, grid or QuadratureGrid())
 
 
 def continuous_aw_multi(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
@@ -375,44 +363,22 @@ def continuous_aw_multi(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
 
     At each node the matrix of scaled component inner products is reduced by
     singular value decomposition; its trace norm enters the cross term and
-    U V^H is the per-node optimal coupling factor.
+    U V^H is the per-node optimal coupling factor.  A unit-multiplicity pair
+    gives the same report as :func:`continuous_aw_unit`.
     """
-    grid = grid or QuadratureGrid()
-    return _run_with_crosscheck(
-        lambda scheme: _distance_core(spec1, spec2, grid, scheme, use_trace_norm=True), grid)
+    return _run_with_crosscheck(spec1, spec2, grid or QuadratureGrid())
 
 
 def continuous_aw_fbm(h1: float, h2: float, T: float = 1.0,
                       grid: QuadratureGrid | None = None) -> DistanceReport:
     """Squared adapted Wasserstein distance between fractional Brownian motions.
 
-    Computed as the double integral of the squared kernel difference, which
-    is valid because both kernels are nonnegative (the absolute value in the
-    cross term is inactive).
+    :func:`continuous_aw_unit` on the two Molchan-Golosov specs, with the
+    Hurst parameters and the horizon added to the grid metadata.
     """
-    grid = grid or QuadratureGrid()
-    spec1, spec2 = fbm_spec(h1, T), fbm_spec(h2, T)
-    k1, k2 = spec1.components[0][0], spec2.components[0][0]
-
-    def run(scheme: str) -> DistanceReport:
-        gamma_s, gamma_t = _pair_gammas([k1], [k2])
-        s, ws = _s_nodes(T, grid.n_s, gamma_s, scheme)
-        t_mat, w_mat = _t_matrix(s, T, grid.n_t, gamma_t, scheme)
-        v1 = _eval_components([k1], t_mat, s)[0]
-        v2 = _eval_components([k2], t_mat, s)[0]
-        diff_sq = np.einsum("st,st->s", (v1 - v2) ** 2, w_mat)
-        dist = float(np.sum(diff_sq * ws))
-        tr = float(np.sum(np.einsum("st,st->s", v1 * v1 + v2 * v2, w_mat) * ws))
-        ip = np.einsum("st,st,st->s", v1, v2, w_mat)
-        cross = float(np.sum(np.abs(ip) * ws))
-        meta = grid.meta()
-        meta.update({"scheme": scheme, "gamma_s": gamma_s, "gamma_t": gamma_t,
-                     "h1": h1, "h2": h2, "T": T})
-        return DistanceReport(distance_squared=dist, trace_term=tr, cross_term=cross,
-                              optimal_correlation=np.where(ip >= 0.0, 1.0, -1.0),
-                              grid_meta=meta)
-
-    return _run_with_crosscheck(run, grid)
+    report = continuous_aw_unit(fbm_spec(h1, T), fbm_spec(h2, T), grid)
+    report.grid_meta.update({"h1": h1, "h2": h2, "T": T})
+    return report
 
 
 def triangular_integral(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,

@@ -559,13 +559,10 @@ def covariance(kernel: VolterraKernel, measure: IntensityMeasure, t: float, s: f
     upper = min(t, s)
     if upper <= 0.0:
         return 0.0
-    if grid.grading is not None:
-        gamma = grid.grading
-    else:
-        alpha_origin = 2.0 * kernel.origin_exponent
-        alpha_diag = max(-2.0 * kernel.diag_exponent, 0.0) if t == s else max(-kernel.diag_exponent, 0.0)
-        gamma = max(grading_exponent(alpha_origin, kernel.grading_hurst),
-                    grading_exponent(alpha_diag, kernel.grading_hurst))
+    alpha_origin = 2.0 * kernel.origin_exponent
+    alpha_diag = max(-2.0 * kernel.diag_exponent, 0.0) if t == s else max(-kernel.diag_exponent, 0.0)
+    gamma = max(grading_exponent(alpha_origin, kernel.grading_hurst),
+                grading_exponent(alpha_diag, kernel.grading_hurst))
     r, w = graded_midpoint(0.0, upper, grid.n_t, gamma=gamma, cluster="both")
     vals = kernel.eval(np.full_like(r, t), r) * kernel.eval(np.full_like(r, s), r)
     return float(np.sum(vals * measure.density_at(r) * w))

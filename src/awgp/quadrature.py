@@ -46,33 +46,19 @@ class QuadratureGrid:
     """Resolution record shared by the distance and simulation code.
 
     ``n_s`` outer (s-integral) nodes, ``n_t`` inner (t-integral) nodes per
-    s-node, ``n_inner`` nodes for nested kernel definitions (the exponential
-    correction of the fractional OU kernel), and ``n_singular`` cells for
-    Stieltjes sums against singular measures.  ``grading`` overrides the
-    default exponent 2 / (min H + 1/2) when set.
+    s-node, and ``n_singular`` cells for Stieltjes sums against singular
+    measures.  Mesh grading follows from the kernels (``grading_exponent``).
+    With ``crosscheck_rtol`` set, continuous distances are recomputed under a
+    second quadrature scheme and must agree to that relative tolerance.
     """
 
     n_s: int = 256
     n_t: int = 256
-    n_inner: int = 64
     n_singular: int = 100_000
-    grading: float | None = None
     crosscheck_rtol: float | None = None
 
-    def gamma_for(self, *hurst: float) -> float:
-        if self.grading is not None:
-            return self.grading
-        h = min(hurst) if hurst else 0.5
-        return 2.0 / (h + 0.5)
-
     def meta(self) -> dict:
-        return {
-            "n_s": self.n_s,
-            "n_t": self.n_t,
-            "n_inner": self.n_inner,
-            "scheme": "graded_midpoint",
-            "grading": self.grading,
-        }
+        return {"n_s": self.n_s, "n_t": self.n_t}
 
 
 def _graded_edges(a: float, b: float, n: int, gamma: float, cluster: str) -> np.ndarray:
