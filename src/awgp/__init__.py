@@ -32,12 +32,12 @@ from .oracles import (OracleVerdict, bruteforce_discrete_cross_term, cholesky_ma
                       get_golden, load_goldens, mc_formula_check, psd_feasibility_sampler,
                       quadrature_crosscheck, regenerate_goldens)
 from .quadrature import QuadratureGrid
-from .specfun import HypergeometricParams, gamma_fn, hyp2f1, hyp2f1_series, pochhammer
+from .specfun import gamma_fn, hyp2f1, hyp2f1_series
 
 __all__ = [
     "__version__",
     # special functions
-    "HypergeometricParams", "gamma_fn", "pochhammer", "hyp2f1", "hyp2f1_series",
+    "gamma_fn", "hyp2f1", "hyp2f1_series",
     # kernels and measures
     "VolterraKernel", "MolchanGolosov", "RiemannLiouville", "FractionalOU", "Brownian",
     "ConstantVolatility", "Tabulated", "CallableKernel", "IntensityMeasure",

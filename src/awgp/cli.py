@@ -3,7 +3,8 @@
 Subcommands: aw-fbm, aw-discrete, aw-unit, aw-multi, mart-approx, simulate,
 check-assumptions, regen-goldens.  Flags can also be supplied through a JSON
 config file (--config) using the same field names with dashes replaced by
-underscores; explicit flags win.  Exit codes: 0 success, 2 validation
+underscores; a config field sets its flag whatever the flag's default, and an
+explicit flag wins over the config.  Exit codes: 0 success, 2 validation
 failure, 3 numerical failure (diagnostics on stderr).
 """
 
@@ -148,7 +149,7 @@ def _cmd_check_assumptions(args) -> int:
 
 
 def _cmd_regen_goldens(args) -> int:
-    reg = regenerate_goldens(path=args.output or None)
+    reg = regenerate_goldens(path=args.output)
     sys.stderr.write(f"regenerated {len(reg)} golden values\n")
     return 0
 
@@ -158,7 +159,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--correlations", action="store_true",
                    help="include the per-node correlation array in JSON output")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=int, help="quadrature resolution (default 256)")
     p.add_argument("--threads", type=int,
                    default=int(os.environ.get("AWGP_THREADS", "1")),
@@ -219,33 +219,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check_assumptions, required_fields=("scenario",))
 
     p = sub.add_parser("regen-goldens", help="re-derive the golden-value registry")
-    p.add_argument("--output", help="registry path (default: packaged registry)")
+    p.add_argument("--output", required=True, help="registry path to write")
     p.set_defaults(fn=_cmd_regen_goldens, required_fields=())
 
     return parser
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _config_argv(argv: list[str], args: argparse.Namespace,
+                 parser: argparse.ArgumentParser) -> list[str]:
+    """The command line with the config file's fields spliced in as flags.
+
+    They go right after the subcommand, ahead of the explicit flags, so an
+    explicit flag wins and argparse converts and validates every value.
+    """
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
+    tokens = []
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             parser.error(f"config field {key!r} is not a flag of this command")
-        if getattr(args, attr) in (None, False):
-            setattr(args, attr, value)
+        flag = "--" + attr.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not False:
+            tokens += [flag, str(value)]
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    if getattr(args, "config", None):
+        args = parser.parse_args(_config_argv(argv, args, parser))
     missing = [f for f in args.required_fields if getattr(args, f, None) is None]
     if missing:
         sys.stderr.write(f"error: missing required flags: {', '.join('--' + m for m in missing)}\n")

@@ -141,13 +141,18 @@ def mc_formula_check(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     signs = pointwise_optimal_correlation(spec1, spec2, cell_left + 0.5 * dt, grid.n_t)
     control = CouplingControl.tabulated(cell_left, signs)
 
+    # trapezoid rule in time: the check compares noises, so no Euler
+    # information pattern constrains the quadrature
+    weights = np.full(n_steps + 1, dt)
+    weights[[0, -1]] = 0.5 * dt
     k1 = spec1.components[0][0]
     k2 = spec2.components[0][0]
-    total = np.zeros(0)
+    costs = []
     for _, z1b, z2b in _noise_block_iter(k1, k2, control, T, n_steps, n_paths, seed,
                                          meas1, meas2):
-        diff = z1b[:, :-1] - z2b[:, :-1]
-        total = np.concatenate([total, np.sum(diff * diff, axis=1) * dt])
+        diff = z1b - z2b
+        costs.append((diff * diff) @ weights)
+    total = np.concatenate(costs)
     mc_mean = float(np.mean(total))
     mc_se = float(np.std(total, ddof=1) / np.sqrt(n_paths))
 
@@ -278,8 +283,12 @@ def _mp_mg_kernel(h: float, t: float, s: float, dps: int = 40) -> float:
         return float(val)
 
 
-def regenerate_goldens(path=None, n_paths: int = 100_000, seed: int = 2024) -> dict:
-    """Re-derive every golden value from its oracle and rewrite the registry."""
+def regenerate_goldens(path) -> dict:
+    """Re-derive every golden value from its oracle and write the registry to ``path``.
+
+    There is no default: the packaged registry is rewritten only when its own
+    path (``default_registry_path()``) is passed.
+    """
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     reg: dict = {}
 
@@ -353,7 +362,7 @@ def regenerate_goldens(path=None, n_paths: int = 100_000, seed: int = 2024) -> d
     put("mart_dist_h070_T1", da, "two_scheme_quadrature",
         {"grid": [512, 512], "rel_agreement": abs(da - db) / abs(db)})
 
-    p = Path(path) if path is not None else default_registry_path()
+    p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "w") as fh:
         json.dump(reg, fh, indent=2, sort_keys=True)

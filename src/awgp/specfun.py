@@ -1,7 +1,7 @@
 """Special functions needed by the fractional kernel evaluators.
 
-Gamma, the Pochhammer symbol, and the Gauss hypergeometric function
-F(a, b; c; z) on the non-positive real axis, which is the argument range
+Gamma and the Gauss hypergeometric function F(a, b; c; z) on the
+non-positive real axis, which is the argument range
 produced by the Molchan-Golosov kernel (z = 1 - t/s <= 0 for 0 < s <= t).
 
 Everything here is a pure function of its arguments and accepts either
@@ -11,16 +11,13 @@ scalars or numpy arrays for the main argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "HypergeometricParams",
     "gamma_fn",
-    "pochhammer",
     "hyp2f1",
     "hyp2f1_series",
 ]
@@ -104,19 +101,22 @@ def _rgamma(x: float) -> float:
     return 1.0 / _gamma_signed(x)
 
 
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
-    if n < 0 or n != int(n):
-        raise DomainError("pochhammer requires a nonnegative integer n")
-    out = 1.0
-    for k in range(int(n)):
-        out *= x + k
-    return out
-
-
 def _is_nonpositive_int(x: float, tol: float = 0.0) -> bool:
     r = round(x)
     return r <= 0 and abs(x - r) <= tol
+
+
+def _terminating(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray | None:
+    """Exact finite sum when a or b is a non-positive integer (any z), else None."""
+    degrees = [-round(p) for p in (a, b) if _is_nonpositive_int(p)]
+    if not degrees:
+        return None
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    for n in range(min(degrees)):
+        term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1)) * z
+        total = total + term
+    return total
 
 
 def hyp2f1_series(a: float, b: float, c: float, w, max_terms: int = 10_000):
@@ -132,16 +132,9 @@ def hyp2f1_series(a: float, b: float, c: float, w, max_terms: int = 10_000):
     if np.any(np.abs(w_arr) >= 1.0):
         raise DomainError("hyp2f1_series requires |w| < 1")
 
-    # terminating (polynomial) case: exact finite sum
-    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        n_terms = int(-min(round(a) if _is_nonpositive_int(a) else np.inf,
-                           round(b) if _is_nonpositive_int(b) else np.inf)) + 1
-        total = np.ones_like(w_arr)
-        term = np.ones_like(w_arr)
-        for n in range(n_terms - 1):
-            term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1)) * w_arr
-            total = total + term
-        return _match_shape(total, w)
+    poly = _terminating(a, b, c, w_arr)
+    if poly is not None:
+        return _match_shape(poly, w)
 
     flat = w_arr.ravel()
     out = np.empty_like(flat)
@@ -221,15 +214,9 @@ def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
         raise DomainError("hyp2f1 requires z <= 0")
 
     # terminating series: exact for any z, no transformation needed
-    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        out = np.ones_like(z_arr)
-        term = np.ones_like(z_arr)
-        n_terms = int(-min(round(a) if _is_nonpositive_int(a) else np.inf,
-                           round(b) if _is_nonpositive_int(b) else np.inf)) + 1
-        for n in range(n_terms - 1):
-            term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1)) * z_arr
-            out = out + term
-        return _match_shape(out, z)
+    poly = _terminating(a, b, c, z_arr)
+    if poly is not None:
+        return _match_shape(poly, z)
 
     out = np.empty_like(z_arr)
     near = z_arr >= _Z_SWITCH
@@ -245,29 +232,3 @@ def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
         out[far] = _large_z(a, b, c, z_arr[far], max_terms)
     return _match_shape(out, z)
 
-
-@dataclass(frozen=True)
-class HypergeometricParams:
-    """Parameter triple (a, b, c) of F(a, b; c; z).
-
-    For kernel evaluation with Hurst parameter H the triple is
-    a = H - 1/2, b = 1/2 - H, c = H + 1/2, so a in (-1/2, 1/2), b = -a and
-    c = a + 1 > 1/2.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if _is_nonpositive_int(self.c):
-            raise DomainError("c must not be zero or a negative integer")
-
-    @classmethod
-    def for_hurst(cls, h: float) -> "HypergeometricParams":
-        if not 0.0 < h < 1.0:
-            raise DomainError("Hurst parameter must lie in (0, 1)")
-        return cls(a=h - 0.5, b=0.5 - h, c=h + 0.5)
-
-    def eval(self, z, max_terms: int = 10_000):
-        return hyp2f1(self.a, self.b, self.c, z, max_terms=max_terms)

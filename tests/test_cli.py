@@ -4,7 +4,7 @@ import pytest
 
 from awgp.cli import main
 from awgp.gauss_aw import DistanceReport
-from awgp.oracles import get_golden
+from awgp.oracles import default_registry_path, get_golden
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +121,24 @@ class TestAwUnitMulti:
         assert code == 0
         assert "distance_squared" in json.loads(out)
 
+    def test_config_sets_flags_with_defaults(self, spec_files, tmp_path, capsys):
+        p1, p2 = spec_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spec1": p1, "spec2": p2, "grid": 32, "format": "csv"}))
+        code, out, _ = run_cli(capsys, "aw-unit", "--config", str(cfg))
+        assert code == 0
+        assert out.splitlines()[0] == "distance_squared,trace_term,cross_term"
+        # an explicit flag wins over the config
+        code, out, _ = run_cli(capsys, "aw-unit", "--config", str(cfg), "--format", "json")
+        assert code == 0
+        assert "distance_squared" in json.loads(out)
+
+    def test_seed_flag_rejected(self, spec_files):
+        p1, p2 = spec_files
+        with pytest.raises(SystemExit) as exc:
+            main(["aw-unit", "--spec1", p1, "--spec2", p2, "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_unknown_config_field_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_flag": 1}))
@@ -224,3 +242,11 @@ class TestRegenGoldens:
         reg = json.loads(out.read_text())
         assert "aw2_fbm_h050_h075_T1" in reg
         assert "regenerated" in err
+
+    def test_output_required(self):
+        packaged = default_registry_path()
+        before = packaged.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["regen-goldens"])
+        assert exc.value.code == 2
+        assert packaged.read_bytes() == before

@@ -53,6 +53,27 @@ class TestMcFormulaCheck:
         signs = pointwise_optimal_correlation(fbm_spec(0.5), fbm_spec(0.75), times)
         assert np.all(signs == 1.0)
 
+    def test_exact_expectation_within_allowance(self, monkeypatch):
+        # the estimator's expectation, without sampling: one block of two
+        # identical "paths" holding sqrt E(Z1 - Z2)^2 against zero noise
+        # turns the sample mean into the exact mean and the standard error
+        # into 0, so only the discretization allowance is left
+        from awgp import fsde, oracles
+
+        def second_moments(k1, k2, control, T, n_steps, n_paths, seed, meas1, meas2):
+            dt = T / n_steps
+            times = np.arange(n_steps + 1) * dt
+            mids = times[:-1] + 0.5 * dt
+            a1 = fsde._kernel_matrix(k1, times, mids) * np.sqrt(fsde._cell_mass(meas1, mids, dt))
+            a2 = fsde._kernel_matrix(k2, times, mids) * np.sqrt(fsde._cell_mass(meas2, mids, dt))
+            rho = control.rho_at(times[:-1])
+            root = np.sqrt(np.sum(a1 * a1 + a2 * a2 - 2.0 * rho * a1 * a2, axis=1))
+            yield 0, np.stack([root, root]), np.zeros((2, n_steps + 1))
+
+        monkeypatch.setattr(oracles, "_noise_block_iter", second_moments)
+        v = mc_formula_check(fbm_spec(0.5), fbm_spec(0.75), n_steps=256, n_paths=2)
+        assert v.passed, v.diagnostics
+
     def test_singular_measure_rejected(self):
         from awgp.kernels import cantor_martingale_spec
         with pytest.raises(DomainError):

@@ -2,12 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from awgp.errors import ConvergenceError, DomainError
 from awgp.oracles import get_golden
-from awgp.specfun import HypergeometricParams, gamma_fn, hyp2f1, hyp2f1_series, pochhammer
+from awgp.specfun import gamma_fn, hyp2f1, hyp2f1_series
 
 
 class TestGamma:
@@ -36,22 +33,6 @@ class TestGamma:
             gamma_fn(x)
 
 
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.7, 0) == 1.0
-
-    def test_integer(self):
-        assert pochhammer(2, 3) == 24.0
-
-    def test_fractional(self):
-        assert pochhammer(0.5, 2) == 0.75
-
-    @given(st.floats(-5, 5, allow_nan=False), st.integers(0, 20))
-    @settings(max_examples=100, deadline=None)
-    def test_recurrence(self, x, n):
-        assert pochhammer(x, n + 1) == pytest.approx(pochhammer(x, n) * (x + n), rel=1e-12, abs=1e-12)
-
-
 class TestHyp2f1:
     def test_at_zero(self):
         assert hyp2f1(0.3, -0.3, 0.8, 0.0) == 1.0
@@ -59,6 +40,15 @@ class TestHyp2f1:
 
     def test_terminating_a_zero(self):
         assert hyp2f1(0.0, 4.2, 1.0, -5.0) == 1.0
+
+    def test_terminating_polynomial_both_routes(self):
+        # a and b non-positive integers: the series stops at the lower degree
+        from scipy.special import hyp2f1 as scipy_hyp2f1
+        for z in [-0.5, -3.0, -1e3]:
+            assert hyp2f1(-2.0, -5.0, 1.5, z) == pytest.approx(
+                float(scipy_hyp2f1(-2.0, -5.0, 1.5, z)), rel=1e-13)
+        assert hyp2f1_series(-5.0, -2.0, 1.5, 0.5) == pytest.approx(
+            float(scipy_hyp2f1(-5.0, -2.0, 1.5, 0.5)), rel=1e-13)
 
     def test_log_identity(self):
         # F(1,1,2,z) = -log(1-z)/z, checked against the registered value
@@ -97,10 +87,10 @@ class TestHyp2f1:
     def test_scipy_crosscheck_kernel_range(self):
         from scipy.special import hyp2f1 as scipy_hyp2f1
         for h in [0.1, 0.3, 0.55, 0.75, 0.9]:
-            p = HypergeometricParams.for_hurst(h)
+            a, b, c = h - 0.5, 0.5 - h, h + 0.5
             for z in [-1e-6, -0.5, -3.0, -50.0, -1e4]:
-                ref = float(scipy_hyp2f1(p.a, p.b, p.c, z))
-                assert p.eval(z) == pytest.approx(ref, rel=1e-11)
+                ref = float(scipy_hyp2f1(a, b, c, z))
+                assert hyp2f1(a, b, c, z) == pytest.approx(ref, rel=1e-11)
 
     def test_vectorized_matches_scalar(self):
         zs = -np.geomspace(1e-3, 1e6, 25)
@@ -115,23 +105,9 @@ class TestHyp2f1:
     def test_rejects_bad_c(self):
         with pytest.raises(DomainError):
             hyp2f1(0.2, -0.2, -1.0, -0.5)
-        with pytest.raises(DomainError):
-            HypergeometricParams(a=0.2, b=-0.2, c=0.0)
 
     def test_nonconvergence_reported(self):
         # integer a - b disables the 1/z route; a tiny term budget must fail loudly
         with pytest.raises(ConvergenceError):
             hyp2f1(0.3, 1.3, 1.7, -1e6, max_terms=50)
 
-
-class TestParams:
-    def test_for_hurst_structure(self):
-        p = HypergeometricParams.for_hurst(0.7)
-        assert p.a == pytest.approx(0.2)
-        assert p.b == pytest.approx(-0.2)
-        assert p.c == pytest.approx(1.2)
-        assert p.b == -p.a and p.c == pytest.approx(p.a + 1.0)
-
-    def test_for_hurst_domain(self):
-        with pytest.raises(DomainError):
-            HypergeometricParams.for_hurst(1.0)
