@@ -305,7 +305,8 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
             s, ws, t_mat, w_mat = _nodes(measures[0], T, grid, gamma_s, gamma_t, scheme)
             trace += _trace_term(_eval_components(kernels, t_mat, s),
                                  _densities(measures, s), ws, w_mat)
-        return DistanceReport(trace, trace, 0.0, None, meta)
+        return DistanceReport(distance_squared=trace, trace_term=trace, cross_term=0.0,
+                              grid_meta=meta)
 
     # shared nodes; for a same-tag singular pair the geometric mean is the measure itself
     s, ws, t_mat, w_mat = _nodes(measures1[0], T, grid, gamma_s, gamma_t, scheme)
@@ -331,7 +332,8 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
         cross = float(np.sum(np.sum(sing, axis=1) * geo * ws))
         corr = np.matmul(u_svd, vh_svd)  # per-node optimal coupling factor
         dist = trace - 2.0 * cross
-    return DistanceReport(dist, trace, cross, corr, meta)
+    return DistanceReport(distance_squared=dist, trace_term=trace, cross_term=cross,
+                          optimal_correlation=corr, grid_meta=meta)
 
 
 def _run_with_crosscheck(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
