@@ -118,11 +118,10 @@ def _cmd_mart_approx(args) -> int:
 
 def _cmd_simulate(args) -> int:
     sc = build_scenario(args.scenario)
-    n_workers = args.threads or 1
     records = []
     for control in sc.controls:
         est = estimate_coupling_cost(sc.spec1, sc.spec2, control, sc.n_steps, sc.n_paths,
-                                     sc.seed, n_workers=n_workers)
+                                     sc.seed, n_workers=args.threads)
         records.append(est.to_dict())
     _write(json.dumps(records, indent=2), args.output)
     if args.paths_csv:
@@ -154,14 +153,27 @@ def _cmd_regen_goldens(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer (from the flag or $AWGP_THREADS), got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="output file (default stdout)")
     p.add_argument("--correlations", action="store_true",
                    help="include the per-node correlation array in JSON output")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--grid", type=int, help="quadrature resolution (default 256)")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("AWGP_THREADS", "1")),
+    # a string default goes through ``type`` at parse time, so a bad
+    # $AWGP_THREADS is a usage error (exit 2) like a bad flag
+    p.add_argument("--threads", type=_positive_int,
+                   default=os.environ.get("AWGP_THREADS") or "1",
                    help="worker-thread cap (default $AWGP_THREADS or 1)")
     p.add_argument("--config", help="JSON file supplying any of this command's flags")
 

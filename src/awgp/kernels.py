@@ -134,19 +134,62 @@ def _fou_core(h: float, lam: float, t: np.ndarray, s: np.ndarray,
     out = base_eval(h, t, s)
     if a == 0.0:
         return out
-    on = (s < t) & (s > 0.0)
+    on = s < t  # s = 0 reaches here only with the RL base, finite there
     if not np.any(on):
         return out
-    tv, sv = t[on], s[on]
-    # inner integral over r in (s, t); integrand singular at r = s for H < 1/2
-    u_mid, u_w = graded_gauss(0.0, 1.0, max(n_inner // 4, 2), order=4,
-                              gamma=3.0 / (h + 0.5), cluster="left")
-    r = sv[:, None] + (tv - sv)[:, None] * u_mid[None, :]
-    w = (tv - sv)[:, None] * u_w[None, :]
-    k_inner = base_eval(h, r.ravel(), np.broadcast_to(sv[:, None], r.shape).ravel())
-    k_inner = k_inner.reshape(r.shape)
-    corr = a * np.sum(np.exp(a * (tv[:, None] - r)) * k_inner * w, axis=1)
-    out[on] = out[on] + corr
+    out[on] = out[on] + a * _fou_inner(h, a, t[on], s[on], n_inner, base_eval)
+    return out
+
+
+def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int,
+               base_eval) -> np.ndarray:
+    """I(t, s) = int_s^t exp(a (t - r)) k_base(r, s) dr for 0 <= s < t.
+
+    Points sharing an s are taken in increasing t and chained by the Volterra
+    recursion I(t_j) = exp(a (t_j - t_{j-1})) I(t_{j-1}) + the integral over
+    [t_{j-1}, t_j], that panel on a 4-node Gauss-Legendre rule.  A point whose
+    panel lies closer to s than its own length, where the integrand's r = s
+    singularity is still near, is integrated directly over [s, t] on nodes
+    graded toward r = s and starts a new chain.  A chain start's error is
+    carried to every later point of the chain, so it gets 2 * n_inner nodes
+    with the grading steepened to the 4-node rule's order; a point alone on
+    its s keeps the n_inner-node rule, with which the golden registry and the
+    covariance-based sign probe were computed.  Only differences of t enter an
+    exponential, so a large |a| T cannot overflow a mild (a < 0) kernel.
+    """
+    order = np.lexsort((t, s))
+    t, s = t[order], s[order]
+    t_prev = np.concatenate([[0.0], t[:-1]])
+    same = s[1:] == s[:-1]
+    follows = np.concatenate([[False], same])
+    chained = follows & (t_prev - s >= t - t_prev)
+    lone = ~follows & ~np.concatenate([same, [False]])
+    lo = np.where(chained, t_prev, s)
+    rules = [
+        (lone, graded_gauss(0.0, 1.0, max(n_inner // 4, 2), order=4,
+                            gamma=3.0 / (h + 0.5), cluster="left")),
+        (~lone & ~chained, graded_gauss(0.0, 1.0, max(n_inner // 2, 2), order=4,
+                                        gamma=6.0 / (h + 0.5), cluster="left")),
+        (chained, graded_gauss(0.0, 1.0, 1, order=4, gamma=1.0)),
+    ]
+    acc = np.empty(t.shape)
+    for sel, (u, w) in rules:
+        span = (t - lo)[sel, None]
+        r = lo[sel, None] + span * u[None, :]
+        k_r = base_eval(h, r.ravel(), np.repeat(s[sel], u.size)).reshape(r.shape)
+        acc[sel] = np.sum(np.exp(a * (t[sel, None] - r)) * k_r * (span * w[None, :]), axis=1)
+
+    # carry every chain forward one link per step
+    head = np.flatnonzero(~chained)
+    length = np.diff(np.append(head, t.size))
+    for step in range(1, int(length.max())):
+        live = length > step
+        head, length = head[live], length[live]
+        cur = head + step
+        acc[cur] += np.exp(a * (t[cur] - t[cur - 1])) * acc[cur - 1]
+
+    out = np.empty(t.shape)
+    out[order] = acc
     return out
 
 

@@ -77,6 +77,22 @@ class TestAwFbm:
         assert code == 2
         assert "validation" in err
 
+    # every case fails while parsing, before any worker could start
+    def test_threads_env_not_an_integer_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("AWGP_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["aw-fbm", "--h1", "0.5", "--h2", "0.5"])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_flag_not_positive_exit_2(self, value, monkeypatch, capsys):
+        monkeypatch.delenv("AWGP_THREADS", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["aw-fbm", "--h1", "0.5", "--h2", "0.5", f"--threads={value}"])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
 
 class TestAwDiscrete:
     def test_equal_matrices(self, tmp_path, capsys):

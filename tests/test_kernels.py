@@ -1,15 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gamma as sp_gamma
+from scipy.special import hyp1f1
 
 from awgp.errors import DomainError, MeasureOrderingError, SingularityError
 from awgp.kernels import (Brownian, ConstantVolatility, FractionalOU, GaussianProcessSpec,
                           IntensityMeasure, MolchanGolosov, RiemannLiouville, Tabulated,
                           cantor_function, covariance, eval_fou_kernel, eval_mg_kernel,
                           eval_rl_kernel, load_tabulated_csv)
+from awgp.fsde import _kernel_matrix
+from awgp.gauss_aw import _nodes, _pair_gammas
 from awgp.oracles import get_golden
-from awgp.quadrature import QuadratureGrid
+from awgp.quadrature import QuadratureGrid, graded_gauss, graded_midpoint
 from awgp.specfun import gamma_fn
 
 
@@ -106,6 +112,113 @@ class TestFractionalOU:
     def test_bad_convention(self):
         with pytest.raises(DomainError):
             eval_fou_kernel(0.7, 1.0, 1.0, 0.5, convention="upwind")
+
+
+def _core_points(kernel, n_s, n_t):
+    """The (t, s) node set the distance core lays out for an fBM-vs-``kernel`` pair."""
+    gamma_s, gamma_t = _pair_gammas([MolchanGolosov(T=kernel.T, h=kernel.h)], [kernel])
+    grid = QuadratureGrid(n_s=n_s, n_t=n_t)
+    s, _, t_mat, _ = _nodes(IntensityMeasure.lebesgue(), kernel.T, grid, gamma_s, gamma_t,
+                            "midpoint")
+    return t_mat, np.broadcast_to(s[:, None], t_mat.shape)
+
+
+def _kernel_matrix_calls(kernel, n_steps):
+    """The (t, s) point sets fsde._kernel_matrix passes to ``kernel.eval``, one per call."""
+    calls = []
+    real = type(kernel).eval
+
+    def record(self, t, s):
+        calls.append((np.array(t), np.array(s)))
+        return real(self, t, s)
+
+    times = np.linspace(0.0, kernel.T, n_steps + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(kernel), "eval", record)
+        _kernel_matrix(kernel, times, 0.5 * (times[1:] + times[:-1]))
+    return calls
+
+
+def _rl_fou_closed_form(h, lam, convention, t, s):
+    """k_RL(t, s) + a x^(b+1) / ((b+1) Gamma(H+1/2)) 1F1(1; b+2; a x), x = t - s, b = H - 1/2."""
+    a = -lam if convention == "mild" else lam
+    x, b = t - s, h - 0.5
+    return x ** b / sp_gamma(h + 0.5) * (1.0 + a * x / (b + 1.0) * hyp1f1(1.0, b + 2.0, a * x))
+
+
+def _pointwise_rule(kernel, t, s):
+    """The inner integral on n_inner graded nodes over [s, t] at every point (0 < s < t)."""
+    base_eval = eval_mg_kernel if kernel.base == "mg" else eval_rl_kernel
+    a = -kernel.lam if kernel.convention == "mild" else kernel.lam
+    u, w = graded_gauss(0.0, 1.0, max(kernel.n_inner // 4, 2), order=4,
+                        gamma=3.0 / (kernel.h + 0.5), cluster="left")
+    r = s[:, None] + (t - s)[:, None] * u[None, :]
+    k_inner = base_eval(kernel.h, r.ravel(), np.repeat(s, u.size)).reshape(r.shape)
+    inner = np.sum(np.exp(a * (t[:, None] - r)) * k_inner * ((t - s)[:, None] * w[None, :]),
+                   axis=1)
+    return base_eval(kernel.h, t, s) + a * inner
+
+
+class TestFouRecursion:
+    """The fOU inner integral chained along each s against independent values."""
+
+    @pytest.mark.parametrize("convention", ["mild", "forward"])
+    @pytest.mark.parametrize("h", [0.3, 0.55, 0.7])
+    def test_rl_base_matches_closed_form(self, h, convention):
+        k = FractionalOU(T=1.0, h=h, lam=1.0, base="rl", convention=convention)
+        point_sets = [_core_points(k, 128, 128)] + _kernel_matrix_calls(k, 128)
+        for t, s in point_sets:
+            t, s = np.ravel(t), np.ravel(s)
+            exact = _rl_fou_closed_form(h, 1.0, convention, t, s)
+            err = np.abs(k.eval(t, s) - exact) / np.max(np.abs(exact))
+            _, where, count = np.unique(s, return_inverse=True, return_counts=True)
+            lone = count[where] == 1
+            assert np.max(err[~lone]) <= 1e-9
+            # a point alone on its s (the last cell's nodes against t = T)
+            # keeps the n_inner-node rule, about 2e-8 off at H = 0.3
+            assert np.max(err[lone], initial=0.0) <= 1e-7
+
+    def test_rl_base_at_origin_includes_the_ou_term(self):
+        k = FractionalOU(T=1.0, h=0.7, lam=1.0, base="rl")
+        t = np.linspace(0.05, 1.0, 20)
+        exact = _rl_fou_closed_form(0.7, 1.0, "mild", t, np.zeros_like(t))
+        assert np.max(np.abs(k.eval(t, 0.0) - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("h,convention", [(0.3, "mild"), (0.7, "forward")])
+    def test_mg_base_matches_pointwise_fine_rule(self, h, convention):
+        k = FractionalOU(T=1.0, h=h, lam=1.0, convention=convention)
+        t_mat, s_mat = _core_points(k, 8, 128)
+        vals = k.eval(t_mat.ravel(), s_mat.ravel()).reshape(t_mat.shape)
+        # one column holds one point per s, so each is integrated on its own
+        fine = replace(k, n_inner=1024)
+        ref = np.stack([fine.eval(t_mat[:, j], s_mat[:, j]) for j in range(t_mat.shape[1])],
+                       axis=1)
+        assert np.max(np.abs(vals - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_point_order_does_not_matter(self):
+        k = FractionalOU(T=1.0, h=0.6, lam=1.0)
+        t_mat, s_mat = _core_points(k, 32, 64)
+        (t1, s1), (t2, s2) = _kernel_matrix_calls(k, 64)
+        t = np.concatenate([t_mat.ravel(), t1, t2])
+        s = np.concatenate([s_mat.ravel(), s1, s2])
+        perm = np.random.default_rng(3).permutation(t.size)
+        assert np.array_equal(k.eval(t[perm], s[perm]), k.eval(t, s)[perm])
+
+    @pytest.mark.parametrize("base", ["mg", "rl"])
+    @pytest.mark.parametrize("convention", ["mild", "forward"])
+    def test_points_with_their_own_s_use_the_pointwise_rule(self, base, convention):
+        k = FractionalOU(T=1.0, h=0.7, lam=1.3, base=base, convention=convention)
+        rng = np.random.default_rng(11)
+        s = rng.uniform(0.01, 0.9, 300)
+        t = s + rng.uniform(1e-4, 0.5, 300)
+        r, _ = graded_midpoint(0.0, 1.0, 64, gamma=2.5, cluster="both")  # as covariance lays out
+        for tv, sv in ((t, s), (np.ones_like(r), r)):
+            assert np.array_equal(k.eval(tv, sv), _pointwise_rule(k, tv, sv))
+
+    def test_large_mild_rate_stays_finite(self):
+        k = FractionalOU(T=1.0, h=0.7, lam=1000.0, convention="mild")
+        t_mat, s_mat = _core_points(k, 64, 64)
+        assert np.all(np.isfinite(k.eval(t_mat.ravel(), s_mat.ravel())))
 
 
 class TestCausality:

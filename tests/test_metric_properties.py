@@ -5,14 +5,15 @@ nonnegative, symmetric, zero on identical inputs, homogeneous of degree 2
 under X -> cX, and its square root must satisfy the triangle inequality.
 Each pair grades its own nodes, so the triangle check allows every value its
 quadrature accuracy: at grid 64 that is 1e-3 of the pair's trace term (the
-zoo's worst pair is 8.1e-4 away from its grid-512 value).
+zoo's worst pair is 8.1e-4 away from its grid-512 value).  The discrete
+formula on a refining grid must also approach the continuous fBM value.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awgp.gauss_aw import continuous_aw_unit
+from awgp.gauss_aw import continuous_aw_fbm, continuous_aw_unit, discretized_fbm_aw
 from awgp.kernels import (Brownian, ConstantVolatility, FractionalOU, GaussianProcessSpec,
                           IntensityMeasure, MolchanGolosov, RiemannLiouville)
 from awgp.quadrature import QuadratureGrid
@@ -99,3 +100,22 @@ def test_triangle_inequality(x, y, z):
     _, hi_xy = bounds(x, y)
     _, hi_yz = bounds(y, z)
     assert lo_xz <= hi_xy + hi_yz
+
+
+# the discrete formula on N midpoint samples approaches the continuous fBM
+# distance as N doubles; its gap may stop shrinking once it is within the
+# 0.1% of the value the benchmark allows, or within the rounding of the
+# discrete trace-minus-cross difference (AW2(X, X) there is +-1e-16, not 0)
+TRANSFER_FLOOR = 1e-3
+DISCRETE_ROUNDING = 1e-14  # of the trace term
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.floats(0.1, 0.9), st.floats(0.1, 0.9))
+def test_discrete_distance_refines_to_continuous(h1, h2):
+    cont = continuous_aw_fbm(h1, h2, 1.0, QuadratureGrid(n_s=256, n_t=256))
+    floor = TRANSFER_FLOOR * cont.distance_squared + DISCRETE_ROUNDING * cont.trace_term
+    gaps = [abs(discretized_fbm_aw(h1, h2, 1.0, n).distance_squared - cont.distance_squared)
+            for n in (32, 64, 128, 256)]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert fine < coarse or fine <= floor
