@@ -432,9 +432,10 @@ def lamperti_inverse_interpolator(sigma: Callable, x0: float,
     increasing, so interpolation error is O((range / n)^2 / sigma)).
     """
     xs = np.linspace(x_range[0], x_range[1], n)
-    inv_sig = 1.0 / np.asarray(sigma(xs), dtype=float)
-    if np.any(inv_sig <= 0.0):
-        raise DomainError("diffusion must be positive on the tabulated range")
+    sig = np.asarray(sigma(xs), dtype=float)
+    if not (np.all(sig > 0.0) and np.isfinite(sig).all()):
+        raise DomainError("diffusion must be positive and finite on the tabulated range")
+    inv_sig = 1.0 / sig
     # cumulative trapezoid of 1/sigma, shifted so g(x0) = 0
     gs = np.concatenate([[0.0], np.cumsum(0.5 * (inv_sig[1:] + inv_sig[:-1]) * np.diff(xs))])
     gs -= np.interp(x0, xs, gs)

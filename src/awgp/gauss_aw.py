@@ -184,12 +184,16 @@ def discrete_aw(sigma1: CovMatrix | np.ndarray, sigma2: CovMatrix | np.ndarray) 
         raise DomainError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
     k1 = cholesky_causal_factor(s1).entries
     k2 = cholesky_causal_factor(s2).entries
-    diag = np.sum(k1 * k2, axis=0)  # (K1^T K2)_{n,n}
+    diag = np.einsum("ij,ij->j", k1, k2)  # (K1^T K2)_{n,n}
     trace = float(np.trace(s1.entries) + np.trace(s2.entries))
     cross = float(np.sum(np.abs(diag)))
     corr = np.where(diag >= 0.0, 1.0, -1.0)  # tie (exact 0) resolved to +1
+    # sum_n ||K1[:, n] - corr_n K2[:, n]||^2 in place on the two fresh factors,
+    # so equal laws give exactly 0 and no value is negative
+    k2 *= corr
+    k1 -= k2
     return DistanceReport(
-        distance_squared=trace - 2.0 * cross,
+        distance_squared=float(np.einsum("ij,ij->", k1, k1)),
         trace_term=trace,
         cross_term=cross,
         optimal_correlation=corr,

@@ -52,6 +52,13 @@ def _broadcast(t, s) -> tuple[np.ndarray, np.ndarray, bool]:
     return np.atleast_1d(t_arr), np.atleast_1d(s_arr), scalar
 
 
+def _check_times(t: np.ndarray, s: np.ndarray) -> None:
+    if not (np.all(t >= 0.0) and np.all(s >= 0.0)):
+        raise DomainError("times must be nonnegative")
+    if not (np.isfinite(t).all() and np.isfinite(s).all()):
+        raise DomainError("times must be finite")
+
+
 def _mg_const(h: float) -> float:
     """Normalization making the represented fBM have Var B_H(1) = 1.
 
@@ -91,8 +98,7 @@ def eval_mg_kernel(h: float, t, s):
     """
     _check_hurst(h)
     t_arr, s_arr, scalar = _broadcast(t, s)
-    if np.any(t_arr < 0.0) or np.any(s_arr < 0.0):
-        raise DomainError("times must be nonnegative")
+    _check_times(t_arr, s_arr)
     if np.any((s_arr == 0.0) & (t_arr >= 0.0)):
         raise SingularityError("Molchan-Golosov kernel is singular at s = 0; use interior nodes")
     out = _mg_core(h, t_arr, s_arr)
@@ -115,8 +121,7 @@ def eval_rl_kernel(h: float, t, s):
     """Riemann-Liouville kernel (t - s)^(H - 1/2) / Gamma(H + 1/2); 0 for s > t."""
     _check_hurst(h)
     t_arr, s_arr, scalar = _broadcast(t, s)
-    if np.any(t_arr < 0.0) or np.any(s_arr < 0.0):
-        raise DomainError("times must be nonnegative")
+    _check_times(t_arr, s_arr)
     out = _rl_core(h, t_arr, s_arr)
     return float(out[0]) if scalar else out.reshape(np.shape(np.broadcast_arrays(t, s)[0]))
 
@@ -207,6 +212,7 @@ def eval_fou_kernel(h: float, lam: float, t, s, quad_nodes: int = 64,
     """
     _check_hurst(h)
     t_arr, s_arr, scalar = _broadcast(t, s)
+    _check_times(t_arr, s_arr)
     if base == "mg" and np.any((s_arr == 0.0) & (t_arr >= 0.0)):
         raise SingularityError("fOU kernel with Molchan-Golosov base is singular at s = 0")
     out = _fou_core(h, lam, t_arr, s_arr, quad_nodes, base, convention)

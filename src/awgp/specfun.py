@@ -4,6 +4,13 @@ Gamma and the Gauss hypergeometric function F(a, b; c; z) on the
 non-positive real axis, which is the argument range
 produced by the Molchan-Golosov kernel (z = 1 - t/s <= 0 for 0 < s <= t).
 
+A hypergeometric series sums its lanes sorted by |w|, in blocks of _BLOCK
+that stay in cache; each term advances in place only the suffix of a
+block's lanes still summing.  Every _CHECK_EVERY terms that suffix is tested
+against the tail bound |term| <= _TAIL_RTOL |partial sum|; a lane stops once
+it passed at two successive checks and every lane before it in its block
+has stopped.
+
 Everything here is a pure function of its arguments and accepts either
 scalars or numpy arrays for the main argument.
 """
@@ -37,11 +44,12 @@ _LANCZOS_COEF = np.array([
     1.5056327351493116e-7,
 ])
 
-# Series truncation: a term counts as negligible when it is below
-# _TAIL_RTOL * |partial sum|; three consecutive negligible terms are
-# required so that even/odd cancellation cannot trigger an early stop.
+# Series truncation (see the module docstring): two successive checks span
+# five terms, so even/odd cancellation cannot stop a lane early.  A block's
+# three arrays (value, term, argument) take 768 KiB, well inside an L2 cache.
 _TAIL_RTOL = 1e-14
-_CONSECUTIVE_SMALL = 3
+_CHECK_EVERY = 4
+_BLOCK = 32768
 
 # Below this argument the Pfaff-transformed series needs too many terms
 # (the transformed argument approaches 1), so a 1/z linear transformation
@@ -84,21 +92,9 @@ def gamma_fn(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def _gamma_signed(x: float) -> float:
-    """Gamma extended to negative non-integer arguments (scalar, internal)."""
-    if x > 0.0:
-        return float(_lanczos_positive(np.asarray(x)))
-    if x == math.floor(x):
-        raise DomainError(f"gamma pole at {x}")
-    # reflection formula
-    return math.pi / (math.sin(math.pi * x) * float(_lanczos_positive(np.asarray(1.0 - x))))
-
-
 def _rgamma(x: float) -> float:
     """Reciprocal gamma 1/Gamma(x); zero at the poles (scalar, internal)."""
-    if x <= 0.0 and x == math.floor(x):
-        return 0.0
-    return 1.0 / _gamma_signed(x)
+    return 0.0 if x <= 0.0 and x == math.floor(x) else 1.0 / math.gamma(x)
 
 
 def _is_nonpositive_int(x: float, tol: float = 0.0) -> bool:
@@ -119,6 +115,32 @@ def _terminating(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray | No
     return total
 
 
+def _series_sorted(a: float, b: float, c: float, wv: np.ndarray, max_terms: int) -> np.ndarray:
+    """The series at every lane of ``wv``, whose |w| must ascend (no validation)."""
+    total = np.ones_like(wv)
+    for start in range(0, wv.size, _BLOCK):
+        w, tot = wv[start:start + _BLOCK], total[start:start + _BLOCK]
+        term = np.ones_like(w)
+        lo = lead_prev = 0
+        for n in range(max_terms):
+            term[lo:] *= ((a + n) * (b + n)) / ((c + n) * (n + 1))
+            term[lo:] *= w[lo:]
+            tot[lo:] += term[lo:]
+            if n % _CHECK_EVERY == _CHECK_EVERY - 1:
+                # written so that a NaN lane never counts as converged
+                big = ~(np.abs(term[lo:]) <= _TAIL_RTOL * np.abs(tot[lo:]))
+                lead = int(big.argmax()) if big.any() else big.size
+                frozen = min(lead, lead_prev)
+                lo, lead_prev = lo + frozen, lead - frozen
+                if lo == w.size:
+                    break
+        else:
+            raise ConvergenceError(
+                f"hyp2f1 series did not meet the tail bound within {max_terms} terms "
+                f"(worst |w| = {np.abs(w).max(initial=0.0):.6g})")
+    return total
+
+
 def hyp2f1_series(a: float, b: float, c: float, w, max_terms: int = 10_000):
     """Direct hypergeometric series at argument ``w``, |w| < 1.
 
@@ -129,38 +151,16 @@ def hyp2f1_series(a: float, b: float, c: float, w, max_terms: int = 10_000):
     if _is_nonpositive_int(c):
         raise DomainError("hyp2f1 parameter c must not be zero or a negative integer")
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(np.abs(w_arr) >= 1.0):
-        raise DomainError("hyp2f1_series requires |w| < 1")
+    if not np.all(np.abs(w_arr) < 1.0):
+        raise DomainError("hyp2f1_series requires finite |w| < 1")
 
     poly = _terminating(a, b, c, w_arr)
     if poly is not None:
         return _match_shape(poly, w)
-
-    flat = w_arr.ravel()
-    out = np.empty_like(flat)
-    # converged lanes are compacted away so tail lanes do not drag the
-    # whole array through every iteration
-    idx = np.arange(flat.size)
-    wv = flat.copy()
-    total = np.ones_like(wv)
-    term = np.ones_like(wv)
-    small_count = np.zeros(wv.shape, dtype=np.int8)
-    for n in range(max_terms):
-        term *= ((a + n) * (b + n)) / ((c + n) * (n + 1)) * wv
-        total += term
-        negligible = np.abs(term) <= _TAIL_RTOL * np.abs(total)
-        small_count = np.where(negligible, small_count + 1, 0).astype(np.int8)
-        done = small_count >= _CONSECUTIVE_SMALL
-        if np.any(done):
-            out[idx[done]] = total[done]
-            keep = ~done
-            if not np.any(keep):
-                return _match_shape(out.reshape(w_arr.shape), w)
-            idx, wv, total, term, small_count = (
-                idx[keep], wv[keep], total[keep], term[keep], small_count[keep])
-    raise ConvergenceError(
-        f"hyp2f1 series did not meet the tail bound within {max_terms} terms "
-        f"(worst |w| = {np.abs(wv).max():.6g})")
+    order = np.argsort(np.abs(w_arr.ravel()))
+    out = np.empty(w_arr.size)
+    out[order] = _series_sorted(a, b, c, w_arr.ravel()[order], max_terms)
+    return _match_shape(out, w)
 
 
 def _match_shape(out: np.ndarray, template):
@@ -169,24 +169,19 @@ def _match_shape(out: np.ndarray, template):
     return out.reshape(np.shape(template))
 
 
-def _pfaff(a: float, b: float, c: float, z: np.ndarray, max_terms: int) -> np.ndarray:
-    # F(a,b;c;z) = (1-z)^{-a} F(a, c-b; c; z/(z-1)), z <= 0 maps to w in [0,1)
-    w = z / (z - 1.0)
-    return (1.0 - z) ** (-a) * np.atleast_1d(hyp2f1_series(a, c - b, c, w, max_terms))
-
-
 def _large_z(a: float, b: float, c: float, z: np.ndarray, max_terms: int) -> np.ndarray:
-    # Linear transformation z -> 1/z for z << -1 (requires a - b non-integer):
-    # F(a,b;c;z) = C1 (-z)^{-a} F(a, a-c+1; a-b+1; 1/z)
-    #            + C2 (-z)^{-b} F(b, b-c+1; b-a+1; 1/z)
-    u = 1.0 / z
-    c1 = _gamma_signed(c) * _gamma_signed(b - a) * _rgamma(b) * _rgamma(c - a)
-    c2 = _gamma_signed(c) * _gamma_signed(a - b) * _rgamma(a) * _rgamma(c - b)
+    # Linear transformation z -> 1/z for z << -1 (requires a - b non-integer),
+    # then Pfaff on each term, so both series share w = 1/(1-z), which must ascend:
+    # F(a,b;c;z) = C1 (1-z)^{-a} F(a, c-b; a-b+1; w) + C2 (1-z)^{-b} F(b, c-a; b-a+1; w)
+    x = 1.0 - z
+    w = 1.0 / x
+    c1 = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
+    c2 = math.gamma(c) * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
     out = np.zeros_like(z)
     if c1 != 0.0:
-        out = out + c1 * (-z) ** (-a) * _pfaff(a, a - c + 1.0, a - b + 1.0, u, max_terms)
+        out += c1 * x ** (-a) * _series_sorted(a, c - b, a - b + 1.0, w, max_terms)
     if c2 != 0.0:
-        out = out + c2 * (-z) ** (-b) * _pfaff(b, b - c + 1.0, b - a + 1.0, u, max_terms)
+        out += c2 * x ** (-b) * _series_sorted(b, c - a, b - a + 1.0, w, max_terms)
     return out
 
 
@@ -210,25 +205,30 @@ def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
     if _is_nonpositive_int(c):
         raise DomainError("hyp2f1 parameter c must not be zero or a negative integer")
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr > 0.0):
-        raise DomainError("hyp2f1 requires z <= 0")
+    if not (np.all(z_arr <= 0.0) and np.isfinite(z_arr).all()):
+        raise DomainError("hyp2f1 requires finite z <= 0")
 
     # terminating series: exact for any z, no transformation needed
     poly = _terminating(a, b, c, z_arr)
     if poly is not None:
         return _match_shape(poly, z)
 
-    out = np.empty_like(z_arr)
-    near = z_arr >= _Z_SWITCH
-    far = ~near
+    # one sort by |z| serves every series: the near lanes come first, and the
+    # far ones are handed to _large_z reversed, so that each series' |w| ascends
+    order = np.argsort(np.abs(z_arr.ravel()))
+    zs = z_arr.ravel()[order]
     # the 1/z route degenerates when a - b is an integer; fall back to Pfaff,
     # which still converges (slowly) and errors out honestly past its budget
-    if abs((a - b) - round(a - b)) < 1e-8:
-        near[:] = True
-        far[:] = False
-    if np.any(near):
-        out[near] = _pfaff(a, b, c, z_arr[near], max_terms)
-    if np.any(far):
-        out[far] = _large_z(a, b, c, z_arr[far], max_terms)
+    k = zs.size if abs((a - b) - round(a - b)) < 1e-8 else np.count_nonzero(zs >= _Z_SWITCH)
+    vals = np.empty_like(zs)
+    if k:
+        # Pfaff: F(a,b;c;z) = (1-z)^{-a} F(a, c-b; c; w), w = z/(z-1) in [0, 1)
+        near = zs[:k]
+        vals[:k] = (1.0 - near) ** (-a) * _series_sorted(a, c - b, c, near / (near - 1.0),
+                                                         max_terms)
+    if k < zs.size:
+        vals[k:] = _large_z(a, b, c, zs[k:][::-1], max_terms)[::-1]
+    out = np.empty_like(zs)
+    out[order] = vals
     return _match_shape(out, z)
 

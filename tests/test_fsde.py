@@ -189,6 +189,13 @@ class TestLamperti:
         with pytest.raises(DomainError):
             lamperti_transform(sigma, -1.0, 1.0)
 
+    def test_interpolator_rejects_vanishing_or_infinite_sigma(self):
+        vanishing = lambda x: np.where(np.abs(x) < 0.5, 0.0, 1.0)
+        infinite = lambda x: np.where(np.abs(x) < 0.5, np.inf, 1.0)
+        for sigma in (vanishing, infinite):
+            with pytest.raises(DomainError):
+                lamperti_inverse_interpolator(sigma, 0.0, (-2.0, 2.0))
+
     def test_consistency_with_direct_simulation(self):
         # multiplicative SDE vs Lamperti-transformed additive SDE mapped back
         h, n_steps, n_paths = 0.75, 512, 10_000

@@ -196,6 +196,18 @@ class TestTransferPrinciple:
         cov = fbm_cov_matrix(0.75, times)
         cholesky_causal_factor(cov)
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_equal_laws_exactly_zero(self, n):
+        assert discretized_fbm_aw(0.6, 0.6, 1.0, n).distance_squared == 0.0
+
+    def test_matches_trace_minus_cross(self):
+        # the value of the former tr(S1) + tr(S2) - 2 sum |diag| form
+        rep = discretized_fbm_aw(0.3, 0.7, 1.0, 512)
+        tol = 1e-12 * rep.trace_term
+        assert rep.distance_squared == pytest.approx(0.11610003308613026, rel=0, abs=tol)
+        assert rep.distance_squared == pytest.approx(
+            rep.trace_term - 2.0 * rep.cross_term, rel=0, abs=tol)
+
     def test_discrete_approaches_continuous(self):
         cont = continuous_aw_fbm(0.5, 0.75, 1.0).distance_squared
         gaps = []

@@ -52,6 +52,22 @@ class TestMolchanGolosov:
         assert eval_mg_kernel(0.3, 0.5, 0.5) == 0.0
 
 
+class TestTimeValidation:
+    @pytest.mark.parametrize("evaluate", [
+        lambda t, s: eval_mg_kernel(0.7, t, s),
+        lambda t, s: eval_rl_kernel(0.3, t, s),
+        lambda t, s: eval_fou_kernel(0.7, 1.0, t, s),
+        lambda t, s: eval_fou_kernel(0.3, 1.0, t, s, base="rl"),
+    ], ids=["mg", "rl", "fou-mg", "fou-rl"])
+    @pytest.mark.parametrize("t,s", [
+        ([1.0, np.nan], [0.5, 0.5]), ([1.0, 1.0], [0.5, np.nan]),
+        ([1.0, np.inf], [0.5, 0.5]), ([1.0, 1.0], [0.5, -0.1]),
+    ], ids=["nan-t", "nan-s", "inf-t", "negative-s"])
+    def test_bad_times_rejected(self, evaluate, t, s):
+        with pytest.raises(DomainError):
+            evaluate(np.array(t), np.array(s))
+
+
 class TestRiemannLiouville:
     def test_exponent_zero(self):
         assert eval_rl_kernel(0.5, 2.0, 1.0) == pytest.approx(1.0, rel=1e-14)

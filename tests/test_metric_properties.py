@@ -104,17 +104,15 @@ def test_triangle_inequality(x, y, z):
 
 # the discrete formula on N midpoint samples approaches the continuous fBM
 # distance as N doubles; its gap may stop shrinking once it is within the
-# 0.1% of the value the benchmark allows, or within the rounding of the
-# discrete trace-minus-cross difference (AW2(X, X) there is +-1e-16, not 0)
+# 0.1% of the value the benchmark allows
 TRANSFER_FLOOR = 1e-3
-DISCRETE_ROUNDING = 1e-14  # of the trace term
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(st.floats(0.1, 0.9), st.floats(0.1, 0.9))
 def test_discrete_distance_refines_to_continuous(h1, h2):
     cont = continuous_aw_fbm(h1, h2, 1.0, QuadratureGrid(n_s=256, n_t=256))
-    floor = TRANSFER_FLOOR * cont.distance_squared + DISCRETE_ROUNDING * cont.trace_term
+    floor = TRANSFER_FLOOR * cont.distance_squared
     gaps = [abs(discretized_fbm_aw(h1, h2, 1.0, n).distance_squared - cont.distance_squared)
             for n in (32, 64, 128, 256)]
     for coarse, fine in zip(gaps, gaps[1:]):

@@ -98,6 +98,45 @@ class TestHyp2f1:
         scal = np.array([hyp2f1(0.2, -0.2, 1.2, z) for z in zs])
         assert np.array_equal(vec, scal)
 
+    def test_mpmath_kernel_range_batch(self):
+        # one batch per H through both the Pfaff (z >= -1) and the 1/z routes
+        import mpmath
+        zs = -np.geomspace(1e-6, 1e7, 80)
+        with mpmath.workdps(30):
+            for h in [0.05, 0.3, 0.45, 0.55, 0.7, 0.95]:
+                a, b, c = h - 0.5, 0.5 - h, h + 0.5
+                ref = np.array([float(mpmath.hyp2f1(a, b, c, z)) for z in zs])
+                assert np.max(np.abs(hyp2f1(a, b, c, zs) - ref) / np.abs(ref)) <= 5e-15
+
+    def test_batch_order_does_not_matter(self):
+        # Molchan-Golosov arguments z = 1 - t/s, enough lanes for several blocks
+        import mpmath
+        rng = np.random.default_rng(11)
+        s = rng.uniform(1e-3, 1.0, 70_000)
+        zs = 1.0 - (s + (1.0 - s) * rng.uniform(0.0, 1.0, s.size)) / s
+        perm = rng.permutation(zs.size)
+        vals = hyp2f1(-0.2, 0.2, 0.8, zs)
+        shuffled = np.empty_like(vals)
+        shuffled[perm] = hyp2f1(-0.2, 0.2, 0.8, zs[perm])
+        assert np.array_equal(vals, shuffled)
+        with mpmath.workdps(30):
+            for i in perm[:40]:
+                ref = float(mpmath.hyp2f1(-0.2, 0.2, 0.8, zs[i]))
+                assert abs(vals[i] - ref) <= 5e-15 * abs(ref)
+
+    def test_series_budget_exhausted_near_one(self):
+        with pytest.raises(ConvergenceError):
+            hyp2f1_series(0.3, 0.4, 1.2, 0.999, max_terms=50)
+        with pytest.raises(ConvergenceError):
+            hyp2f1_series(0.3, 0.4, 1.2, np.array([0.1, 0.999, 0.2]), max_terms=50)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_non_finite_argument(self, bad):
+        with pytest.raises(DomainError):
+            hyp2f1(0.2, -0.2, 1.2, [-0.5, bad])
+        with pytest.raises(DomainError):
+            hyp2f1_series(0.2, -0.2, 1.2, [0.5, bad])
+
     def test_rejects_positive_argument(self):
         with pytest.raises(DomainError):
             hyp2f1(0.2, -0.2, 1.2, 0.5)
