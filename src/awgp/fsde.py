@@ -9,18 +9,21 @@ control to act on; it exists in the oracles module as a marginal-law
 cross-check only.
 
 State recursions use the explicit Euler scheme, valid in the Young regime
-(noise kernels with H > 1/2).  All randomness is drawn from counter-based
-Philox streams keyed on (seed, stream, block), so results are bit-for-bit
-reproducible for a fixed seed and grid regardless of how many worker
-threads process the path blocks.
+(noise kernels with H > 1/2).  The kernel matrices are built once per call,
+on the calling thread.  The unit of work is a block of _BLOCK paths: normals
+from counter-based Philox streams keyed on (seed, stream, block), stream 1
+(dW~) skipped when sqrt(1-rho^2) is 0 on every cell; the kernel matmul;
+time-major Euler (one contiguous row per step, an admissibility scan per
+_SCAN_STEPS steps); per-path costs.  Blocks are reduced in index order, so
+results are bit-for-bit reproducible for any number of worker threads.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad as _adaptive_quad
@@ -50,6 +53,7 @@ __all__ = [
 _BLOCK = 4096
 _EXPLOSION = 1e12
 _MIN_STEPS = 8
+_SCAN_STEPS = 16  # Euler steps per admissibility scan
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +198,12 @@ class CostEstimate:
     control: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "std_error": self.std_error,
-                "n_paths": self.n_paths, "control": self.control}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CostEstimate":
         return cls(mean=float(d["mean"]), std_error=float(d["std_error"]),
                    n_paths=int(d["n_paths"]), control=dict(d.get("control", {})))
-
-
-def _substream_policy(seed: int) -> dict:
-    return {"scheme": "philox-seedsequence", "key": "(seed, stream, block)",
-            "block_size": _BLOCK, "streams": {"w1": 0, "w_tilde": 1}, "seed": int(seed)}
 
 
 def _normals(seed: int, stream: int, block_index: int, shape: tuple[int, int]) -> np.ndarray:
@@ -226,9 +224,7 @@ def _kernel_matrix(kernel: VolterraKernel, times: np.ndarray, mids: np.ndarray) 
     """
     m_count, j_count = times.size, mids.size
     dt = times[1] - times[0]
-    rows, cols = np.tril_indices(m_count, k=-1, m=j_count)
-    keep = mids[cols] < times[rows]
-    rows, cols = rows[keep], cols[keep]
+    rows, cols = np.tril_indices(m_count, k=-1, m=j_count)  # cells j < m
 
     # in-cell quadrature: graded toward s = 0 in the first cell (kernel
     # origin singularity), a short Gauss panel elsewhere
@@ -237,14 +233,9 @@ def _kernel_matrix(kernel: VolterraKernel, times: np.ndarray, mids: np.ndarray) 
     u_first, w_first = graded_midpoint(0.0, 1.0, 16, gamma=gamma0, cluster="left")
 
     out = np.zeros((m_count, j_count))
-    for first in (False, True):
-        sel = (cols == 0) if first else (cols > 0)
-        if not np.any(sel):
-            continue
-        u, w = (u_first, w_first) if first else (u_plain, w_plain)
+    for sel, u, w in ((cols > 0, u_plain, w_plain), (cols == 0, u_first, w_first)):
         r, c = rows[sel], cols[sel]
-        lo = times[c][:, None]
-        s_nodes = lo + dt * u[None, :]
+        s_nodes = times[c][:, None] + dt * u[None, :]
         t_nodes = np.broadcast_to(times[r][:, None], s_nodes.shape)
         vals = kernel.eval(t_nodes.ravel(), s_nodes.ravel()).reshape(s_nodes.shape)
         out[r, c] = np.sqrt(np.sum(vals * vals * w[None, :], axis=1))
@@ -252,36 +243,45 @@ def _kernel_matrix(kernel: VolterraKernel, times: np.ndarray, mids: np.ndarray) 
 
 
 def _cell_mass(measure: IntensityMeasure | None, mids: np.ndarray, dt: float) -> np.ndarray:
-    if measure is None or measure.name == "lebesgue":
+    if measure is None:
         return np.full(mids.shape, dt)
-    if measure.is_singular:
-        raise DomainError("coupled-noise simulation requires absolutely continuous intensities")
-    return measure.density_at(mids) * dt
+    return measure.density_at(mids) * dt  # DomainError for a singular measure
 
 
-def _noise_block_iter(k1: VolterraKernel, k2: VolterraKernel, control: CouplingControl,
-                      T: float, n_steps: int, n_paths: int, seed: int,
-                      measure1: IntensityMeasure | None, measure2: IntensityMeasure | None,
-                      block: int = _BLOCK) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (block_index, Z1_block, Z2_block) with deterministic block keys."""
+def _coupling(k1: VolterraKernel, k2: VolterraKernel, control: CouplingControl, T: float,
+              n_steps: int, measure1: IntensityMeasure | None,
+              measure2: IntensityMeasure | None) -> tuple:
+    """(A1, A2, scale1, scale2, rho, mix) for one call's noise blocks: kernel matrices, sqrt cell
+    masses, the (predictable) control on each cell's left edge, sqrt(1 - rho^2) or None if all 0."""
     if n_steps < _MIN_STEPS:
         raise DomainError(f"grid too coarse: need at least {_MIN_STEPS} steps")
     dt = T / n_steps
     times = np.arange(n_steps + 1) * dt
     mids = times[:-1] + 0.5 * dt
-    a1 = _kernel_matrix(k1, times, mids)
-    a2 = _kernel_matrix(k2, times, mids)
-    scale1 = np.sqrt(_cell_mass(measure1, mids, dt))
-    scale2 = np.sqrt(_cell_mass(measure2, mids, dt))
-    rho = control.rho_at(times[:-1])  # control is predictable: uses the cell's left edge
+    a1, a2 = _kernel_matrix(k1, times, mids), _kernel_matrix(k2, times, mids)
+    scales = [np.sqrt(_cell_mass(m, mids, dt)) for m in (measure1, measure2)]
+    rho = control.rho_at(times[:-1])
     mix = np.sqrt(np.clip(1.0 - rho * rho, 0.0, 1.0))
-    for b, lo in enumerate(range(0, n_paths, block)):
-        nb = min(block, n_paths - lo)
-        xi1 = _normals(seed, 0, b, (nb, n_steps))
-        xi_t = _normals(seed, 1, b, (nb, n_steps))
-        dm1 = scale1[None, :] * xi1
-        dm2 = scale2[None, :] * (rho[None, :] * xi1 + mix[None, :] * xi_t)
-        yield b, dm1 @ a1.T, dm2 @ a2.T
+    return a1, a2, *scales, rho, (mix if mix.any() else None)
+
+
+def _noise_block(cp: tuple, seed: int, b: int, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """Paths b*_BLOCK, ... of both noises, path-major (n_b, M+1).  Stream 1 is not
+    drawn when mix is None: rho*xi1 + 0*xi~ would be bitwise rho*xi1."""
+    a1, a2, scale1, scale2, rho, mix = cp
+    shape = (min(_BLOCK, n_paths - b * _BLOCK), rho.size)
+    xi1 = _normals(seed, 0, b, shape)
+    dm2 = rho * xi1
+    if mix is not None:
+        xi_t = _normals(seed, 1, b, shape)
+        xi_t *= mix
+        dm2 += xi_t
+        del xi_t
+    dm2 *= scale2
+    xi1 *= scale1
+    z1 = xi1 @ a1.T
+    del xi1
+    return z1, dm2 @ a2.T
 
 
 def simulate_coupled_noise(k1: VolterraKernel, k2: VolterraKernel, control: CouplingControl,
@@ -295,32 +295,39 @@ def simulate_coupled_noise(k1: VolterraKernel, k2: VolterraKernel, control: Coup
     coupling is exact path by path: under the synchronous control with
     identical kernels the two ensembles are identical arrays.
     """
-    dt = T / n_steps
-    times = np.arange(n_steps + 1) * dt
-    z1 = np.empty((n_paths, n_steps + 1))
-    z2 = np.empty((n_paths, n_steps + 1))
-    for b, z1b, z2b in _noise_block_iter(k1, k2, control, T, n_steps, n_paths, seed,
-                                         measure1, measure2):
-        lo = b * _BLOCK
-        z1[lo:lo + z1b.shape[0]] = z1b
-        z2[lo:lo + z2b.shape[0]] = z2b
-    policy = _substream_policy(seed)
+    if n_paths < 1:
+        raise DomainError("need at least one path")
+    cp = _coupling(k1, k2, control, T, n_steps, measure1, measure2)
+    times = np.arange(n_steps + 1) * (T / n_steps)
+    z1, z2 = np.empty((2, n_paths, n_steps + 1))
+    for b, lo in enumerate(range(0, n_paths, _BLOCK)):
+        z1[lo:lo + _BLOCK], z2[lo:lo + _BLOCK] = _noise_block(cp, seed, b, n_paths)
+    policy = {"scheme": "philox-seedsequence", "key": "(seed, stream, block)",
+              "block_size": _BLOCK, "streams": {"w1": 0, "w_tilde": 1}, "seed": int(seed)}
     return (PathEnsemble(times=times, paths=z1, seed=seed, substream_policy=policy),
             PathEnsemble(times=times, paths=z2, seed=seed, substream_policy=policy))
 
 
-def _euler_block(spec: FsdeSpec, times: np.ndarray, z_block: np.ndarray,
-                 path_offset: int) -> np.ndarray:
-    dt = float(times[1] - times[0])
-    nb, m1 = z_block.shape
-    x = np.empty_like(z_block)
-    x[:, 0] = spec.x0
-    for m in range(m1 - 1):
-        cur = x[:, m]
-        x[:, m + 1] = cur + spec.drift(cur) * dt + spec.diffusion(cur) * (z_block[:, m + 1] - z_block[:, m])
-        bad = ~np.isfinite(x[:, m + 1]) | (np.abs(x[:, m + 1]) > _EXPLOSION)
-        if np.any(bad):
-            raise SimulationError(path_offset + int(np.argmax(bad)))
+def _euler(spec: FsdeSpec, dt: float, z: np.ndarray, path_offset: int) -> np.ndarray:
+    """Explicit Euler along path-major noise z (n, M+1), one contiguous row per step; states
+    come back time-major.  Scanned per _SCAN_STEPS steps for the earliest bad step's lowest path."""
+    n_steps, n = z.shape[1] - 1, z.shape[0]
+    # padded rows: transposing a power-of-two row stride (n = _BLOCK) thrashes the cache
+    x = np.empty((n_steps + 1, n + 8))[:, :n]
+    np.subtract(z.T[1:], z.T[:-1], out=x[1:])
+    x[0] = spec.x0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
+        for lo in range(0, n_steps, _SCAN_STEPS):
+            for m in range(lo, min(lo + _SCAN_STEPS, n_steps)):
+                cur, nxt = x[m], x[m + 1]
+                step = spec.drift(cur) * dt
+                step += cur
+                nxt *= spec.diffusion(cur)
+                nxt += step
+            rows = x[lo + 1:lo + _SCAN_STEPS + 1]
+            if not (rows.max(initial=0.0) <= _EXPLOSION and rows.min(initial=0.0) >= -_EXPLOSION):
+                bad = ~np.isfinite(rows) | (np.abs(rows) > _EXPLOSION)
+                raise SimulationError(path_offset + int(np.argmax(bad[np.argmax(bad.any(axis=1))])))
     return x
 
 
@@ -328,8 +335,8 @@ def euler_fsde(spec: FsdeSpec, noise: PathEnsemble) -> PathEnsemble:
     """Explicit Euler solution of the SDE along the given noise paths."""
     if abs(noise.times[-1] - spec.T) > 1e-12:
         raise DomainError("noise grid horizon does not match the SDE spec")
-    x = _euler_block(spec, noise.times, noise.paths, 0)
-    return PathEnsemble(times=noise.times, paths=x, seed=noise.seed,
+    x = _euler(spec, float(noise.times[1] - noise.times[0]), noise.paths, 0)
+    return PathEnsemble(times=noise.times, paths=np.ascontiguousarray(x.T), seed=noise.seed,
                         substream_policy=noise.substream_policy)
 
 
@@ -343,34 +350,37 @@ def estimate_coupling_cost(spec1: FsdeSpec, spec2: FsdeSpec, control: CouplingCo
     The time integral uses the left-endpoint rule, matching the information
     pattern of the Euler scheme.  ``state_map*`` post-compose the simulated
     states (used to map Lamperti-transformed paths back to the original
-    coordinates).  Blocks are reduced in index order, so the estimate is
-    bit-stable for any worker count.
+    coordinates).
+
+    The kernel matrices are built once, on the calling thread.  The unit of
+    work is a block ``(seed, block_index)`` of _BLOCK paths on one of up to
+    ``n_workers`` threads: Philox normals (stream 1 skipped when the control
+    gives it no weight), matmul, time-major Euler for spec 1 then spec 2 with
+    an admissibility scan per _SCAN_STEPS steps, per-path costs.  Blocks are
+    reduced in index order, so the estimate is bit-stable for any worker
+    count, and a ``SimulationError`` names the path a per-step scan would:
+    first block, spec 1 before spec 2, earliest step, lowest path index.
     """
     if abs(spec1.T - spec2.T) > 1e-12:
         raise DomainError("horizon mismatch between SDE specs")
+    if n_paths < 1 or n_workers < 1:
+        raise DomainError(f"need n_paths >= 1 and n_workers >= 1, got {n_paths}, {n_workers}")
+    cp = _coupling(spec1.noise_kernel, spec2.noise_kernel, control, spec1.T, n_steps, None, None)
     dt = spec1.T / n_steps
-    times = np.arange(n_steps + 1) * dt
 
-    def cost_of_block(args):
-        b, z1b, z2b = args
-        lo = b * _BLOCK
-        x1 = _euler_block(spec1, times, z1b, lo)
-        x2 = _euler_block(spec2, times, z2b, lo)
-        if state_map1 is not None:
-            x1 = state_map1(x1)
-        if state_map2 is not None:
-            x2 = state_map2(x2)
-        diff = x1[:, :-1] - x2[:, :-1]
-        return np.sum(diff * diff, axis=1) * dt
+    def block_costs(b: int) -> np.ndarray:
+        noise = list(_noise_block(cp, seed, b, n_paths))  # popped: freed once Euler read it
+        x1, x2 = (_euler(spec, dt, noise.pop(0), b * _BLOCK) for spec in (spec1, spec2))
+        for x, state_map in ((x1, state_map1), (x2, state_map2)):
+            if state_map is not None:
+                x[...] = state_map(x.T).T  # (n_b, M+1) paths: np.interp is faster along one
+        x1 -= x2
+        diff = x1[:-1]
+        diff *= diff
+        return np.ascontiguousarray(diff.T).sum(axis=1) * dt  # in the order of path-major rows
 
-    blocks = _noise_block_iter(spec1.noise_kernel, spec2.noise_kernel, control,
-                               spec1.T, n_steps, n_paths, seed, None, None)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            costs_by_block = list(pool.map(cost_of_block, blocks))
-    else:
-        costs_by_block = [cost_of_block(args) for args in blocks]
-    costs = np.concatenate(costs_by_block)
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        costs = np.concatenate(list(pool.map(block_costs, range(-(-n_paths // _BLOCK)))))
     mean = float(np.mean(costs))
     se = float(np.std(costs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("inf")
     return CostEstimate(mean=mean, std_error=se, n_paths=n_paths, control=control.describe())
@@ -402,24 +412,12 @@ def lamperti_inverse(sigma: Callable, x0: float, y: float, quad_nodes: int = 64,
     g = lambda x: lamperti_transform(sigma, x0, x, quad_nodes)
     if y == 0.0:
         return float(x0)
-    step = 1.0
-    lo, hi = x0, x0
-    if y > 0:
-        hi = x0 + step
-        while g(hi) < y:
-            step *= 2.0
-            hi = x0 + step
-            if step > 1e12:
-                raise DomainError("failed to bracket the Lamperti inverse")
-        lo = hi - step
-    else:
-        lo = x0 - step
-        while g(lo) > y:
-            step *= 2.0
-            lo = x0 - step
-            if step > 1e12:
-                raise DomainError("failed to bracket the Lamperti inverse")
-        hi = lo + step
+    sign, step = (1.0 if y > 0 else -1.0), 1.0
+    while sign * g(x0 + sign * step) < abs(y):  # expand away from x0 until y is passed
+        step *= 2.0
+        if step > 1e12:
+            raise DomainError("failed to bracket the Lamperti inverse")
+    lo, hi = sorted((x0, x0 + sign * step))
     return float(brentq(lambda x: g(x) - y, lo, hi, xtol=tol, rtol=8.9e-16))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -21,7 +21,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DomainError
-from .fsde import CouplingControl, _noise_block_iter
+from .fsde import _BLOCK, CouplingControl, _coupling, _noise_block
 from .gauss_aw import (TriangularFactor, cholesky_causal_factor, continuous_aw_unit,
                        _psd_sqrt)
 from .kernels import (GaussianProcessSpec, IntensityMeasure, VolterraKernel, covariance,
@@ -65,8 +65,7 @@ class OracleVerdict:
                    diagnostics=diagnostics or f"{mode} error {err:.3e} vs tol {tolerance:.3e}")
 
     def to_dict(self) -> dict:
-        return {"target": self.target, "oracle": self.oracle, "tolerance": self.tolerance,
-                "mode": self.mode, "passed": self.passed, "diagnostics": self.diagnostics}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +127,8 @@ def mc_formula_check(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     """
     if spec1.multiplicity != 1 or spec2.multiplicity != 1:
         raise DomainError("mc_formula_check requires unit multiplicity")
+    if n_paths < 2 or n_steps < 1:  # a standard error needs two paths
+        raise DomainError(f"need n_paths >= 2 and n_steps >= 1, got {n_paths}, {n_steps}")
     grid = grid or QuadratureGrid()
     meas1 = spec1.components[0][1]
     meas2 = spec2.components[0][1]
@@ -145,16 +146,15 @@ def mc_formula_check(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     # information pattern constrains the quadrature
     weights = np.full(n_steps + 1, dt)
     weights[[0, -1]] = 0.5 * dt
-    k1 = spec1.components[0][0]
-    k2 = spec2.components[0][0]
-    costs = []
-    for _, z1b, z2b in _noise_block_iter(k1, k2, control, T, n_steps, n_paths, seed,
-                                         meas1, meas2):
-        diff = z1b - z2b
-        costs.append((diff * diff) @ weights)
-    total = np.concatenate(costs)
-    mc_mean = float(np.mean(total))
-    mc_se = float(np.std(total, ddof=1) / np.sqrt(n_paths))
+    cp = _coupling(spec1.components[0][0], spec2.components[0][0], control, T, n_steps,
+                   meas1, meas2)
+    costs = np.empty(n_paths)
+    for b, lo in enumerate(range(0, n_paths, _BLOCK)):
+        z1b, z2b = _noise_block(cp, seed, b, n_paths)
+        z1b -= z2b
+        costs[lo:lo + _BLOCK] = np.square(z1b, out=z1b) @ weights
+    mc_mean = float(np.mean(costs))
+    mc_se = float(np.std(costs, ddof=1) / np.sqrt(n_paths))
 
     budget = 3.0 * mc_se + discretization_allowance * max(abs(report.distance_squared), mc_se)
     err = abs(mc_mean - report.distance_squared)

@@ -11,7 +11,7 @@ import pytest
 
 from awgp.fsde import (CouplingControl, FsdeSpec, assumption_checker, estimate_coupling_cost,
                        lamperti_inverse_interpolator, make_diffusion, make_drift,
-                       _euler_block, _noise_block_iter)
+                       _coupling, _euler, _noise_block)
 from awgp.gauss_aw import (cholesky_causal_factor, continuous_aw_fbm, continuous_aw_multi,
                            continuous_aw_unit, discrete_aw, discretized_fbm_aw,
                            levy_noncanonical_check, trace_bound_optimal_gamma,
@@ -122,11 +122,11 @@ def test_criterion_07_fou_sign_convention_probe():
     drift, _ = make_drift({"name": "linear", "a": -lam})
     diffusion, _ = make_diffusion({"name": "const", "c": 1.0})
     spec = FsdeSpec(drift=drift, diffusion=diffusion, x0=0.0, noise_kernel=mg, T=T)
-    times = np.arange(n_steps + 1) * (T / n_steps)
+    cp = _coupling(mg, mg, CouplingControl.synchronous(), T, n_steps, None, None)
     terminal = []
-    for b, z1b, _ in _noise_block_iter(mg, mg, CouplingControl.synchronous(), T, n_steps,
-                                       n_paths, 707, None, None):
-        terminal.append(_euler_block(spec, times, z1b, b * 4096)[:, -1])
+    for b in range(-(-n_paths // 4096)):
+        z1b, _ = _noise_block(cp, 707, b, n_paths)
+        terminal.append(_euler(spec, T / n_steps, z1b, b * 4096)[-1])
     terminal = np.concatenate(terminal)
     mc_var = terminal.var(ddof=1)
     se = mc_var * np.sqrt(2.0 / (n_paths - 1))

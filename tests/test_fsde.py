@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
+from awgp import fsde
 from awgp.errors import DomainError, SimulationError
-from awgp.fsde import (CostEstimate, CouplingControl, FsdeSpec, assumption_checker,
+from awgp.fsde import (CostEstimate, CouplingControl, FsdeSpec, PathEnsemble, assumption_checker,
                        estimate_coupling_cost, euler_fsde, lamperti_inverse,
                        lamperti_inverse_interpolator, lamperti_transform, make_diffusion,
                        make_drift, simulate_coupled_noise)
@@ -13,6 +16,9 @@ from awgp.quadrature import QuadratureGrid
 
 BM = Brownian(T=1.0)
 SYNC = CouplingControl.synchronous()
+CONTROLS = {"synchronous": SYNC, "antithetic": CouplingControl.antithetic(),
+            "independent": CouplingControl.independent(),
+            "piecewise": CouplingControl.piecewise_constant([0.3, -1.0, 1.0, 0.0, -0.6], T=1.0)}
 
 
 def _additive_spec(kernel, x0=0.0):
@@ -81,6 +87,38 @@ class TestCoupledNoise:
         with pytest.raises(DomainError):
             simulate_coupled_noise(BM, BM, SYNC, 1.0, 4, 10, seed=0)
 
+    def test_rejects_no_paths(self):
+        with pytest.raises(DomainError):
+            simulate_coupled_noise(BM, BM, SYNC, 1.0, 16, 0, seed=0)
+
+    @pytest.mark.parametrize("control", CONTROLS.values(), ids=CONTROLS.keys())
+    def test_bitwise_equal_to_reference_generator(self, control):
+        # the per-block generator of earlier releases, both streams always drawn
+        k1, k2 = MolchanGolosov(T=1.0, h=0.6), RiemannLiouville(T=1.0, h=0.8)
+        meas2 = IntensityMeasure.from_density(lambda s: 0.5 + s, name="affine")
+        n_steps, n_paths, seed = 64, 5000, 21
+        dt = 1.0 / n_steps
+        times = np.arange(n_steps + 1) * dt
+        mids = times[:-1] + 0.5 * dt
+        a1, a2 = fsde._kernel_matrix(k1, times, mids), fsde._kernel_matrix(k2, times, mids)
+        scale1 = np.sqrt(fsde._cell_mass(None, mids, dt))
+        scale2 = np.sqrt(fsde._cell_mass(meas2, mids, dt))
+        rho = control.rho_at(times[:-1])
+        mix = np.sqrt(np.clip(1.0 - rho * rho, 0.0, 1.0))
+        ref1, ref2 = [], []
+        for b, lo in enumerate(range(0, n_paths, 4096)):
+            nb = min(4096, n_paths - lo)
+            xi1 = fsde._normals(seed, 0, b, (nb, n_steps))
+            xi_t = fsde._normals(seed, 1, b, (nb, n_steps))
+            dm1 = scale1[None, :] * xi1
+            dm2 = scale2[None, :] * (rho[None, :] * xi1 + mix[None, :] * xi_t)
+            ref1.append(dm1 @ a1.T)
+            ref2.append(dm2 @ a2.T)
+        z1, z2 = simulate_coupled_noise(k1, k2, control, 1.0, n_steps, n_paths, seed,
+                                        measure2=meas2)
+        assert np.array_equal(z1.paths, np.concatenate(ref1))
+        assert np.array_equal(z2.paths, np.concatenate(ref2))
+
 
 class TestEuler:
     def test_additive_is_shifted_noise(self):
@@ -107,6 +145,11 @@ class TestEuler:
         with pytest.raises(SimulationError) as exc:
             euler_fsde(spec, z)
         assert exc.value.path_index == 0
+
+    def test_empty_ensemble(self):
+        times = np.linspace(0.0, 1.0, 17)
+        x = euler_fsde(_additive_spec(BM), PathEnsemble(times, np.empty((0, 17)), seed=0))
+        assert x.paths.shape == (0, 17)
 
     def test_horizon_check(self):
         z, _ = simulate_coupled_noise(BM, BM, SYNC, 1.0, 16, 3, seed=0)
@@ -145,9 +188,116 @@ class TestCouplingCost:
         assert a.mean == b.mean
         assert a.std_error == b.std_error
 
+    @pytest.mark.parametrize("lamperti", [False, True], ids=["tanh pair", "lamperti pair"])
+    @pytest.mark.parametrize("control", CONTROLS.values(), ids=CONTROLS.keys())
+    def test_matches_public_route(self, control, lamperti):
+        # noise, Euler, state maps and the left-endpoint rule through the public calls
+        n_steps, n_paths, seed = 64, 5000, 31
+        maps = (None, None)
+        if lamperti:
+            sigma, _ = make_diffusion({"name": "sin_offset", "c": 2.0})
+            s1 = s2 = _additive_spec(MolchanGolosov(T=1.0, h=0.75))
+            maps = tuple(lamperti_inverse_interpolator(sigma, x0, (-15.0, 15.0), n=8193)
+                         for x0 in (0.0, 0.5))
+        else:
+            unit, _ = make_diffusion({"name": "const", "c": 1.0})
+            s1 = FsdeSpec(np.tanh, unit, 0.0, MolchanGolosov(T=1.0, h=0.6), 1.0)
+            s2 = FsdeSpec(np.tanh, unit, 0.3, MolchanGolosov(T=1.0, h=0.8), 1.0)
+        z1, z2 = simulate_coupled_noise(s1.noise_kernel, s2.noise_kernel, control, 1.0,
+                                        n_steps, n_paths, seed)
+        x1, x2 = euler_fsde(s1, z1).paths, euler_fsde(s2, z2).paths
+        if lamperti:
+            x1, x2 = maps[0](x1), maps[1](x2)
+        diff = x1[:, :-1] - x2[:, :-1]
+        costs = np.sum(diff * diff, axis=1) / n_steps
+        estimates = [estimate_coupling_cost(s1, s2, control, n_steps, n_paths, seed,
+                                            n_workers=w, state_map1=maps[0], state_map2=maps[1])
+                     for w in (1, 2, 3)]
+        assert estimates[0].mean == pytest.approx(np.mean(costs), rel=1e-12, abs=0.0)
+        assert estimates[0].std_error == pytest.approx(
+            np.std(costs, ddof=1) / np.sqrt(n_paths), rel=1e-12, abs=0.0)
+        assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
+
+    def test_kernels_evaluated_on_calling_thread(self, monkeypatch):
+        # a tracer that wraps VolterraKernel.eval sees only the calling thread
+        callers = []
+        evaluate = MolchanGolosov.eval
+
+        def recording(kernel, t, s):
+            callers.append(threading.get_ident())
+            return evaluate(kernel, t, s)
+
+        monkeypatch.setattr(MolchanGolosov, "eval", recording)
+        s1 = _additive_spec(MolchanGolosov(T=1.0, h=0.6))
+        s2 = _additive_spec(MolchanGolosov(T=1.0, h=0.8))
+        estimate_coupling_cost(s1, s2, CouplingControl.independent(), 64, 9000, seed=8,
+                               n_workers=2)
+        assert callers and set(callers) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("n_paths, n_workers", [(0, 1), (5, 0), (5, -3)])
+    def test_rejects_no_paths_or_workers(self, n_paths, n_workers):
+        spec = _additive_spec(BM)
+        with pytest.raises(DomainError):
+            estimate_coupling_cost(spec, spec, SYNC, 16, n_paths, seed=0, n_workers=n_workers)
+
     def test_estimate_serialization(self):
         est = CostEstimate(mean=0.5, std_error=0.01, n_paths=100, control={"kind": "synchronous"})
         assert CostEstimate.from_dict(est.to_dict()) == est
+
+
+class TestExplosionScan:
+    """The first exploding path, as a per-step scan reports it.
+
+    Injected noise holds one spike per listed (path, step): the Brownian noise
+    jumps by about 0.1 * size at that step and stays there.  Spec 1 has unit
+    diffusion and spec 2 diffusion 1e3, so a spike of 1e11 explodes only
+    spec 2 and one of 1e14 explodes both.
+    """
+
+    @staticmethod
+    def _run(monkeypatch, spikes, n_steps, n_paths, n_workers):
+        def spiked(seed, stream, block, shape):
+            xi = np.zeros(shape)
+            for path, step, size in spikes:
+                if stream == 0 and path // 4096 == block:
+                    xi[path % 4096, step - 1] = size
+            return xi
+
+        monkeypatch.setattr(fsde, "_normals", spiked)
+        zero, _ = make_drift("zero")
+        specs = [FsdeSpec(zero, make_diffusion({"name": "const", "c": c})[0], 0.0, BM, 1.0)
+                 for c in (1.0, 1e3)]
+        with pytest.raises(SimulationError) as exc:
+            estimate_coupling_cost(*specs, SYNC, n_steps, n_paths, seed=0, n_workers=n_workers)
+        return exc.value.path_index
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_mid_chunk_earliest_step_then_lowest_path(self, monkeypatch, n_workers):
+        c = fsde._SCAN_STEPS
+        mid = 2 * c + c // 2
+        spikes = [(9, mid, 1e14), (7, mid, 1e14), (3, mid + 1, 1e14), (1, 3 * c, 1e14)]
+        assert self._run(monkeypatch, spikes, 6 * c + 4, 100, n_workers) == 7
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_last_partial_chunk(self, monkeypatch, n_workers):
+        n_steps = 6 * fsde._SCAN_STEPS + 4
+        spikes = [(2, n_steps, 1e14), (5, n_steps - 1, 1e14)]
+        assert self._run(monkeypatch, spikes, n_steps, 100, n_workers) == 5
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_second_block_earlier_step_wins_over_lower_path(self, monkeypatch, n_workers):
+        spikes = [(4100, 50, 1e14), (4500, 10, 1e14)]
+        assert self._run(monkeypatch, spikes, 100, 5000, n_workers) == 4500
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_first_block_wins_over_earlier_step(self, monkeypatch, n_workers):
+        spikes = [(4000, 100, 1e14), (4100, 1, 1e14)]
+        assert self._run(monkeypatch, spikes, 100, 5000, n_workers) == 4000
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_spec1_error_wins_within_block(self, monkeypatch, n_workers):
+        spikes = [(3, 5, 1e11), (9, 40, 1e14)]
+        assert self._run(monkeypatch, spikes, 100, 100, n_workers) == 9
 
 
 class TestLamperti:

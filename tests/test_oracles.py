@@ -58,21 +58,23 @@ class TestMcFormulaCheck:
         # identical "paths" holding sqrt E(Z1 - Z2)^2 against zero noise
         # turns the sample mean into the exact mean and the standard error
         # into 0, so only the discretization allowance is left
-        from awgp import fsde, oracles
+        from awgp import oracles
 
-        def second_moments(k1, k2, control, T, n_steps, n_paths, seed, meas1, meas2):
-            dt = T / n_steps
-            times = np.arange(n_steps + 1) * dt
-            mids = times[:-1] + 0.5 * dt
-            a1 = fsde._kernel_matrix(k1, times, mids) * np.sqrt(fsde._cell_mass(meas1, mids, dt))
-            a2 = fsde._kernel_matrix(k2, times, mids) * np.sqrt(fsde._cell_mass(meas2, mids, dt))
-            rho = control.rho_at(times[:-1])
+        def second_moments(cp, seed, b, n_paths):
+            a1, a2, scale1, scale2, rho, _ = cp  # the call's kernel matrices and control
+            a1, a2 = a1 * scale1, a2 * scale2
             root = np.sqrt(np.sum(a1 * a1 + a2 * a2 - 2.0 * rho * a1 * a2, axis=1))
-            yield 0, np.stack([root, root]), np.zeros((2, n_steps + 1))
+            return np.stack([root, root]), np.zeros((2, root.size))
 
-        monkeypatch.setattr(oracles, "_noise_block_iter", second_moments)
+        monkeypatch.setattr(oracles, "_noise_block", second_moments)
         v = mc_formula_check(fbm_spec(0.5), fbm_spec(0.75), n_steps=256, n_paths=2)
         assert v.passed, v.diagnostics
+        assert v.tolerance == 0.02 * abs(v.target)  # standard error 0: the stub was sampled
+
+    @pytest.mark.parametrize("n_paths, n_steps", [(0, 16), (1, 16), (10, 0)])
+    def test_rejects_too_few_paths_or_steps(self, n_paths, n_steps):
+        with pytest.raises(DomainError):
+            mc_formula_check(fbm_spec(0.5), fbm_spec(0.75), n_steps=n_steps, n_paths=n_paths)
 
     def test_singular_measure_rejected(self):
         from awgp.kernels import cantor_martingale_spec
