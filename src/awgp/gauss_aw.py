@@ -22,6 +22,8 @@ approximates the cross term directly and serves as a structural cross-check.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError
 from .kernels import (Brownian, CallableKernel, GaussianProcessSpec, IntensityMeasure,
-                      VolterraKernel, fbm_spec)
+                      VolterraKernel, _check_hurst, fbm_spec)
 from .quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent
 
 __all__ = [
@@ -522,20 +524,98 @@ def fbm_cov_matrix(h: float, times: np.ndarray) -> CovMatrix:
     return CovMatrix(entries=0.5 * (r + r.T))
 
 
+def _proper_rotation(p1: float, n1: float, n2: float, p2: float, j: int, tol: float
+                     ) -> list[list[float]]:
+    """J-unitary map (signature +, -, -, +) leaving a generator row as (delta, 0, 0, 0).
+
+    A Givens rotation of the positive pair, one of the negative pair and a
+    hyperbolic rotation between the two, composed; raises when |rho| = q/p >= 1
+    or the pivot delta^2 = p^2 - q^2 is at most ``tol`` (> 0), NaN included.
+    """
+    p, q = math.hypot(p1, p2), math.hypot(n1, n2)
+    if not (p - q) * (p + q) > tol:
+        raise NotPositiveDefiniteError(j)
+    cp, sp = p1 / p, p2 / p
+    cn, sn = (n1 / q, n2 / q) if q > 0.0 else (1.0, 0.0)
+    rho = q / p
+    eta = math.sqrt((1.0 - rho) * (1.0 + rho))
+    return [[cp / eta, -rho * cn / eta, -rho * sn / eta, sp / eta],
+            [-rho * cp / eta, cn / eta, sn / eta, -rho * sp / eta],
+            [0.0, -sn, cn, 0.0],
+            [-sp, 0.0, 0.0, cp]]
+
+
+def _fbm_path_factor_columns(hs: tuple[float, float], dt: float, n: int,
+                             tols: list[float]):
+    """Yield column j of both laws' path Cholesky factors, rows j..n-1, as a (2, n-j) view.
+
+    The increments Y_0 = X(dt/2), Y_n = X(t_n) - X(t_{n-1}) have covariance
+    [[a, b^T], [b, T]], T the fGn Toeplitz matrix of lags r(k).  After the
+    explicit first column, T - b b^T / a has the displacement generator
+    [t/sqrt(t_0), (t - t_0 e_0)/sqrt(t_0), b/sqrt(a), Z b/sqrt(a)] of
+    signature (+, -, -, +); each generalised Schur step peels one factor
+    column.  As X = cumsum Y, the generator is summed down its rows once: the
+    J-unitary maps act on its columns and commute with that sum.
+    """
+    lag = np.arange(n - 1)
+    r, col = np.empty((2, n - 1)), np.empty((2, n))
+    for i, h in enumerate(hs):
+        e = 2.0 * h
+        c = 0.5 * dt ** e
+        k = np.arange(n + 1.0) ** e
+        half = (np.arange(n) + 0.5) ** e
+        r[i] = c * (k[lag + 1] - 2.0 * k[lag] + k[abs(lag - 1)])
+        a = (0.5 * dt) ** e
+        if not a > tols[i]:
+            raise NotPositiveDefiniteError(0)
+        col[i, 0] = math.sqrt(a)
+        col[i, 1:] = c * (k[:n - 1] + half[1:] - k[1:n] - half[:-1]) / col[i, 0]
+    yield np.cumsum(col, axis=1)
+    g = np.zeros((2, 4, n - 1))
+    g[:, 0] = r / np.sqrt(r[:, :1])
+    g[:, 1, 1:] = g[:, 0, 1:]
+    g[:, 2] = col[:, 1:]
+    g[:, 3, 1:] = col[:, 1:-1]
+    g = np.cumsum(g, axis=2)
+    for j in range(1, n):
+        g = np.array([_proper_rotation(*row, j, tol)
+                      for row, tol in zip(g[:, :, 0].tolist(), tols)]) @ g
+        yield g[:, 0]
+        # Z times the column taken; the others' first row is now 0, so drop it
+        g[:, 0, 1:] = g[:, 0, :-1]
+        g = g[:, :, 1:]
+
+
 def discretized_fbm_aw(h1: float, h2: float, T: float, n_steps: int) -> DistanceReport:
     """Discrete-formula approximation of the continuous fBM distance.
 
-    Samples both processes at midpoints of a uniform n-step grid and scales
-    the discrete squared distance by the step so that it approximates the
-    L^2([0, T]) path cost.
+    Samples both processes at the midpoints t_n = (n + 1/2) dt of a uniform
+    n-step grid and scales the discrete squared distance by the step so that
+    it approximates the L^2([0, T]) path cost.  It streams in O(N^2) time and
+    O(N) memory, one column of both causal factors at a time, and builds no
+    N x N matrix; :func:`discrete_aw` on :func:`fbm_cov_matrix` is the dense
+    general path it agrees with up to rounding.
     """
-    dt = T / n_steps
-    times = (np.arange(n_steps) + 0.5) * dt
-    rep = discrete_aw(fbm_cov_matrix(h1, times), fbm_cov_matrix(h2, times))
+    for h in (h1, h2):
+        _check_hurst(h)
+    if not (math.isfinite(T) and T > 0.0):
+        raise DomainError(f"horizon T must be finite and positive, got {T}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise DomainError(f"n_steps must be a positive integer, got {n_steps!r}")
+    n = int(n_steps)
+    dt = T / n
+    times = (np.arange(n) + 0.5) * dt
+    variances = [times ** (2 * h) for h in (h1, h2)]
+    tols = [_PIVOT_TOL * float(v.max()) for v in variances]
+    diag, dist = np.empty(n), np.empty(n)
+    for j, (k1, k2) in enumerate(_fbm_path_factor_columns((h1, h2), dt, n, tols)):
+        diag[j] = k1 @ k2  # (K1^T K2)_{j,j}
+        diff = k1 - k2 if diag[j] >= 0.0 else k1 + k2  # equal laws give exactly 0
+        dist[j] = diff @ diff
     return DistanceReport(
-        distance_squared=rep.distance_squared * dt,
-        trace_term=rep.trace_term * dt,
-        cross_term=rep.cross_term * dt,
-        optimal_correlation=rep.optimal_correlation,
-        grid_meta={"n_steps": n_steps, "dt": dt, "scheme": "cholesky-midpoint-sampling"},
+        distance_squared=float(np.sum(dist)) * dt,
+        trace_term=float(np.sum(variances[0]) + np.sum(variances[1])) * dt,
+        cross_term=float(np.sum(np.abs(diag))) * dt,
+        optimal_correlation=np.where(diag >= 0.0, 1.0, -1.0),
+        grid_meta={"n_steps": n, "dt": dt, "scheme": "cholesky-midpoint-sampling"},
     )

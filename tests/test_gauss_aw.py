@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,69 @@ class TestTransferPrinciple:
             gaps.append(abs(d - cont) / cont)
         assert all(np.diff(gaps) < 0.0)
         assert gaps[-1] < 0.02
+
+
+class TestStreamedTransfer:
+    """`discretized_fbm_aw` streams the Schur factor columns; dense `discrete_aw` is the oracle."""
+
+    @pytest.mark.parametrize("h1,h2,T,n", [
+        (0.3, 0.7, 1.0, 0),
+        (0.3, 0.7, 1.0, 8.5),
+        (0.3, 0.7, 1.0, True),
+        (1.5, 0.7, 1.0, 64),
+        (0.3, 0.0, 1.0, 64),
+        (0.3, 0.7, 0.0, 64),
+        (0.3, 0.7, -1.0, 64),
+        (0.3, 0.7, float("inf"), 64),
+        (0.3, 0.7, float("nan"), 64),
+    ], ids=["n0", "n-float", "n-bool", "h-above-1", "h-zero", "T-zero", "T-negative",
+            "T-inf", "T-nan"])
+    def test_bad_input_is_domain_error(self, h1, h2, T, n):
+        with pytest.raises(DomainError):
+            discretized_fbm_aw(h1, h2, T, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 512, 2048])
+    @pytest.mark.parametrize("h1,h2", [(0.05, 0.95), (0.3, 0.7), (0.5, 0.75), (0.6, 0.6)])
+    def test_matches_dense_path(self, h1, h2, n):
+        rep = discretized_fbm_aw(h1, h2, 1.0, n)
+        dt = 1.0 / n
+        times = (np.arange(n) + 0.5) * dt
+        dense = discrete_aw(fbm_cov_matrix(h1, times), fbm_cov_matrix(h2, times))
+        tol = 1e-12 * rep.trace_term
+        assert rep.distance_squared == pytest.approx(dense.distance_squared * dt, rel=0, abs=tol)
+        assert rep.cross_term == pytest.approx(dense.cross_term * dt, rel=0, abs=tol)
+        assert rep.trace_term == dense.trace_term * dt
+        assert np.array_equal(rep.optimal_correlation, dense.optimal_correlation)
+        if h1 == h2:
+            assert rep.distance_squared == 0.0
+
+    def test_degenerate_law_raises_like_dense(self):
+        h = 1.0 - 1e-8
+        times = (np.arange(64) + 0.5) / 64
+        with pytest.raises(NotPositiveDefiniteError):
+            discrete_aw(fbm_cov_matrix(h, times), fbm_cov_matrix(0.5, times))
+        for pair in ((h, 0.5), (0.5, h)):
+            with pytest.raises(NotPositiveDefiniteError):
+                discretized_fbm_aw(*pair, 1.0, 64)
+
+    def test_memory_is_linear_in_n(self):
+        tracemalloc.start()
+        try:
+            discretized_fbm_aw(0.3, 0.7, 1.0, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense path holds N x N matrices: over 1 GiB at this N
+        assert peak < 16 * 2**20
+
+    def test_convergence_rate_and_richardson_limit(self):
+        d = [discretized_fbm_aw(0.5, 0.75, 1.0, n).distance_squared for n in (1024, 2048, 4096, 8192)]
+        steps = np.diff(d)
+        orders = np.log2(steps[:-1] / steps[1:])  # observed 0.723 and 0.726
+        assert abs(orders[0] - orders[1]) <= 0.05
+        limit = d[-1] + steps[-1] / (2.0 ** orders[-1] - 1.0)
+        # an oracle linking the discrete formula to the continuous golden
+        assert limit == pytest.approx(get_golden("aw2_fbm_h050_h075_T1"), rel=1e-4)
 
 
 class TestTriangularIntegral:
