@@ -15,13 +15,19 @@ from counter-based Philox streams keyed on (seed, stream, block), stream 1
 (dW~) skipped when sqrt(1-rho^2) is 0 on every cell; the kernel matmul;
 time-major Euler (one contiguous row per step, an admissibility scan per
 _SCAN_STEPS steps); per-path costs.  Blocks are reduced in index order, so
-results are bit-for-bit reproducible for any number of worker threads.
+results are bit-for-bit reproducible for any number of worker threads; while
+more than one runs, numpy's bundled OpenBLAS is held at one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -30,7 +36,7 @@ from scipy.integrate import quad as _adaptive_quad
 from scipy.optimize import brentq
 
 from .errors import DomainError, SimulationError
-from .kernels import IntensityMeasure, VolterraKernel
+from .kernels import IntensityMeasure, VolterraKernel, _same_kernels
 from .quadrature import graded_gauss, graded_midpoint, grading_exponent
 
 __all__ = [
@@ -54,6 +60,7 @@ _BLOCK = 4096
 _EXPLOSION = 1e12
 _MIN_STEPS = 8
 _SCAN_STEPS = 16  # Euler steps per admissibility scan
+_MAP_ROWS = 16  # time steps per state-map call: its temporaries stay in cache
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +265,8 @@ def _coupling(k1: VolterraKernel, k2: VolterraKernel, control: CouplingControl, 
     dt = T / n_steps
     times = np.arange(n_steps + 1) * dt
     mids = times[:-1] + 0.5 * dt
-    a1, a2 = _kernel_matrix(k1, times, mids), _kernel_matrix(k2, times, mids)
+    a1 = _kernel_matrix(k1, times, mids)
+    a2 = a1 if _same_kernels((k1,), (k2,)) else _kernel_matrix(k2, times, mids)
     scales = [np.sqrt(_cell_mass(m, mids, dt)) for m in (measure1, measure2)]
     rho = control.rho_at(times[:-1])
     mix = np.sqrt(np.clip(1.0 - rho * rho, 0.0, 1.0))
@@ -340,6 +348,36 @@ def euler_fsde(spec: FsdeSpec, noise: PathEnsemble) -> PathEnsemble:
                         substream_policy=noise.substream_policy)
 
 
+@functools.cache
+def _openblas_threads() -> tuple[Callable, Callable] | None:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None under another BLAS."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*"))
+    for lib in map(ctypes.CDLL, libs):  # the copy numpy has loaded
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _blas_capped(capped: bool):
+    """Hold numpy's OpenBLAS at one thread (a process-wide setting), then restore its count."""
+    api = _openblas_threads() if capped else None
+    if api is None:
+        yield
+        return
+    get, put = api
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def estimate_coupling_cost(spec1: FsdeSpec, spec2: FsdeSpec, control: CouplingControl,
                            n_steps: int, n_paths: int, seed: int,
                            n_workers: int = 1,
@@ -350,13 +388,16 @@ def estimate_coupling_cost(spec1: FsdeSpec, spec2: FsdeSpec, control: CouplingCo
     The time integral uses the left-endpoint rule, matching the information
     pattern of the Euler scheme.  ``state_map*`` post-compose the simulated
     states (used to map Lamperti-transformed paths back to the original
-    coordinates).
+    coordinates); a map must act elementwise, as it is applied in place to a
+    few time steps of a block at a time.
 
-    The kernel matrices are built once, on the calling thread.  The unit of
-    work is a block ``(seed, block_index)`` of _BLOCK paths on one of up to
-    ``n_workers`` threads: Philox normals (stream 1 skipped when the control
-    gives it no weight), matmul, time-major Euler for spec 1 then spec 2 with
-    an admissibility scan per _SCAN_STEPS steps, per-path costs.  Blocks are
+    The kernel matrices are built once (one if the kernels are equal), on the
+    calling thread.  The unit of work is a block ``(seed, block_index)`` of
+    _BLOCK paths on one of up to ``n_workers`` threads: Philox normals (stream
+    1 skipped when the control gives it no weight), matmul, time-major Euler
+    for spec 1 then spec 2 with an admissibility scan per _SCAN_STEPS steps,
+    per-path costs.  While more than one worker runs, numpy's OpenBLAS is held
+    at one thread, a process-wide setting restored on return.  Blocks are
     reduced in index order, so the estimate is bit-stable for any worker
     count, and a ``SimulationError`` names the path a per-step scan would:
     first block, spec 1 before spec 2, earliest step, lowest path index.
@@ -367,20 +408,26 @@ def estimate_coupling_cost(spec1: FsdeSpec, spec2: FsdeSpec, control: CouplingCo
         raise DomainError(f"need n_paths >= 1 and n_workers >= 1, got {n_paths}, {n_workers}")
     cp = _coupling(spec1.noise_kernel, spec2.noise_kernel, control, spec1.T, n_steps, None, None)
     dt = spec1.T / n_steps
+    n_blocks = -(-n_paths // _BLOCK)
 
     def block_costs(b: int) -> np.ndarray:
         noise = list(_noise_block(cp, seed, b, n_paths))  # popped: freed once Euler read it
         x1, x2 = (_euler(spec, dt, noise.pop(0), b * _BLOCK) for spec in (spec1, spec2))
         for x, state_map in ((x1, state_map1), (x2, state_map2)):
             if state_map is not None:
-                x[...] = state_map(x.T).T  # (n_b, M+1) paths: np.interp is faster along one
+                for lo in range(0, x.shape[0], _MAP_ROWS):
+                    x[lo:lo + _MAP_ROWS] = state_map(x[lo:lo + _MAP_ROWS])
         x1 -= x2
+        del x, x2
         diff = x1[:-1]
         diff *= diff
-        return np.ascontiguousarray(diff.T).sum(axis=1) * dt  # in the order of path-major rows
+        # sums in the order of path-major rows, transposed a slab of paths at a time: a
+        # block-sized copy would leave the worker's heap a hole no later block array fits
+        return np.concatenate([np.ascontiguousarray(diff[:, lo:lo + 256].T).sum(axis=1)
+                               for lo in range(0, diff.shape[1], 256)]) * dt
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        costs = np.concatenate(list(pool.map(block_costs, range(-(-n_paths // _BLOCK)))))
+    with _blas_capped(min(n_workers, n_blocks) > 1), ThreadPoolExecutor(n_workers) as pool:
+        costs = np.concatenate(list(pool.map(block_costs, range(n_blocks))))
     mean = float(np.mean(costs))
     se = float(np.std(costs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("inf")
     return CostEstimate(mean=mean, std_error=se, n_paths=n_paths, control=control.describe())
@@ -423,21 +470,49 @@ def lamperti_inverse(sigma: Callable, x0: float, y: float, quad_nodes: int = 64,
 
 def lamperti_inverse_interpolator(sigma: Callable, x0: float,
                                   x_range: tuple[float, float], n: int = 4097) -> Callable:
-    """Vectorized g^-1 via a monotone table of g on ``x_range``.
+    """Vectorized g^-1 on ``x_range`` by index arithmetic, with no search per lookup.
 
-    Suitable for mapping whole path ensembles back through the transform;
-    accuracy is set by the table resolution (g is smooth and strictly
-    increasing, so interpolation error is O((range / n)^2 / sigma)).
+    g is summed by Simpson's rule over the n - 1 cells of ``x_range`` and g^-1
+    tabulated once on 4n equally spaced values of y, each refined by two
+    Newton steps on the cubic Hermite interpolant of g (g' = 1/sigma).  A
+    lookup scales, clips and interpolates linearly: its error is about
+    dy^2 max|sigma sigma'| / 8 with dy = (g(b) - g(a)) / (4n - 1).  Values
+    beyond g(x_range) map to its ends.
     """
-    xs = np.linspace(x_range[0], x_range[1], n)
+    xs = np.linspace(x_range[0], x_range[1], 2 * n - 1)  # nodes and cell midpoints
     sig = np.asarray(sigma(xs), dtype=float)
     if not (np.all(sig > 0.0) and np.isfinite(sig).all()):
         raise DomainError("diffusion must be positive and finite on the tabulated range")
-    inv_sig = 1.0 / sig
-    # cumulative trapezoid of 1/sigma, shifted so g(x0) = 0
-    gs = np.concatenate([[0.0], np.cumsum(0.5 * (inv_sig[1:] + inv_sig[:-1]) * np.diff(xs))])
-    gs -= np.interp(x0, xs, gs)
-    return lambda y: np.interp(np.asarray(y, dtype=float), gs, xs)
+    f, fm = 1.0 / sig[::2], 1.0 / sig[1::2]
+    xs, h = xs[::2], 2.0 * (xs[1] - xs[0])
+    gs = np.concatenate([[0.0], np.cumsum(h / 6.0 * (f[:-1] + 4.0 * fm + f[1:]))])
+
+    def hermite(x):  # cubic through the node values of g and g'
+        t = np.clip((x - xs[0]) / h, 0.0, n - 1.0)
+        i = np.minimum(t.astype(np.intp), n - 2)
+        t -= i
+        d = (gs[i + 1] - gs[i]) / h
+        return gs[i] + h * t * (d + (1.0 - t) * ((1.0 - t) * (f[i] - d) - t * (f[i + 1] - d)))
+
+    gs -= hermite(np.array([x0]))  # g(x0) = 0
+    ys = np.linspace(gs[0], gs[-1], 4 * n)
+    table = np.interp(ys, gs, xs)
+    for _ in range(2):
+        table -= (hermite(table) - ys) / np.interp(table, xs, f)
+    step, y0, scale = np.diff(table), ys[0], (ys.size - 1) / (ys[-1] - ys[0])
+
+    def inverse(y):  # three temporaries the size of y: more fragment the worker heaps
+        u = np.subtract(y, y0, dtype=float)
+        u *= scale
+        np.clip(u, 0.0, ys.size - 1.0, out=u)
+        with np.errstate(invalid="ignore"):  # NaN indexes anywhere and stays NaN
+            i = u.astype(np.intp)
+        u -= i
+        x = step.take(i, mode="clip")
+        x *= u
+        x += table.take(i, mode="clip", out=u)
+        return x
+    return inverse
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError
 from .kernels import (Brownian, CallableKernel, GaussianProcessSpec, IntensityMeasure,
-                      VolterraKernel, _check_hurst, fbm_spec)
+                      VolterraKernel, _check_hurst, _same_kernels, fbm_spec)
 from .quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent
 
 __all__ = [
@@ -278,7 +278,8 @@ def _trace_term(vals: np.ndarray, rho: np.ndarray, ws: np.ndarray, w_mat: np.nda
 
 def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
                    grid: QuadratureGrid, scheme: str) -> DistanceReport:
-    """One quadrature pass that evaluates each kernel once per node set.
+    """One quadrature pass that evaluates each kernel once per node set, and equal kernel
+    lists (as in AW(X, X)) once in all.
 
     Unit multiplicity sums ||k1 sqrt(rho1) - sigma k2 sqrt(rho2)||^2 node by
     node with sigma = sign <k1, k2>: the value has no cancellation and is
@@ -317,7 +318,7 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     # shared nodes; for a same-tag singular pair the geometric mean is the measure itself
     s, ws, t_mat, w_mat = _nodes(measures1[0], T, grid, gamma_s, gamma_t, scheme)
     v1 = _eval_components(kernels1, t_mat, s)
-    v2 = _eval_components(kernels2, t_mat, s)
+    v2 = v1 if _same_kernels(kernels1, kernels2) else _eval_components(kernels2, t_mat, s)
     rho1, rho2 = _densities(measures1, s), _densities(measures2, s)
     trace = _trace_term(v1, rho1, ws, w_mat) + _trace_term(v2, rho2, ws, w_mat)
     ip = np.einsum("ist,jst,st->sij", v1, v2, w_mat)

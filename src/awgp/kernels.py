@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -421,6 +421,15 @@ class CallableKernel(VolterraKernel):
         return float(out[0]) if scalar else out.reshape(np.shape(np.broadcast_arrays(t, s)[0]))
 
 
+def _same_kernels(ks1: Sequence[VolterraKernel], ks2: Sequence[VolterraKernel]) -> bool:
+    """Equal by value, component by component.  The dataclass ``==`` raises on array fields
+    (a ``Tabulated`` grid), so each field is compared with ``np.array_equal``."""
+    return len(ks1) == len(ks2) and all(
+        a is b or (type(a) is type(b) and all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+                                              for f in fields(a)))
+        for a, b in zip(ks1, ks2))
+
+
 def load_tabulated_csv(path, T: float | None = None) -> Tabulated:
     """Load a tabulated kernel from CSV with header ``t,s,value``.
 
@@ -553,6 +562,8 @@ class GaussianProcessSpec:
     T: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise DomainError(f"horizon T must be finite and positive, got T={self.T}")
         if len(self.components) < 1:
             raise DomainError("a process spec needs at least one component")
         for k, _ in self.components:

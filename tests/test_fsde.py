@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from awgp.fsde import (CostEstimate, CouplingControl, FsdeSpec, PathEnsemble, as
                        make_drift, simulate_coupled_noise)
 from awgp.gauss_aw import continuous_aw_fbm
 from awgp.kernels import (Brownian, IntensityMeasure, MolchanGolosov, RiemannLiouville,
-                          covariance)
+                          Tabulated, covariance)
 from awgp.quadrature import QuadratureGrid
 
 BM = Brownian(T=1.0)
@@ -218,6 +219,20 @@ class TestCouplingCost:
             np.std(costs, ddof=1) / np.sqrt(n_paths), rel=1e-12, abs=0.0)
         assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
 
+    def test_state_maps_hold_no_block_sized_temporary(self):
+        # maps run in place a few time steps at a time, so the peak stays that of the noise
+        sigma, _ = make_diffusion({"name": "sin_offset", "c": 2.0})
+        spec = _additive_spec(MolchanGolosov(T=1.0, h=0.75))
+        inv = lamperti_inverse_interpolator(sigma, 0.0, (-15.0, 15.0), n=8193)
+        peaks = []
+        for state_map in (None, inv):
+            tracemalloc.start()
+            estimate_coupling_cost(spec, spec, SYNC, 128, 4096, seed=3, state_map1=state_map,
+                                   state_map2=state_map)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.25 * 4096 * 129 * 8
+
     def test_kernels_evaluated_on_calling_thread(self, monkeypatch):
         # a tracer that wraps VolterraKernel.eval sees only the calling thread
         callers = []
@@ -233,6 +248,17 @@ class TestCouplingCost:
         estimate_coupling_cost(s1, s2, CouplingControl.independent(), 64, 9000, seed=8,
                                n_workers=2)
         assert callers and set(callers) == {threading.get_ident()}
+
+    def test_equal_kernels_share_one_matrix(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        tab = [Tabulated(t_grid=grid, s_grid=grid, values=np.tril(np.ones((5, 5))))
+               for _ in range(2)]
+        for k1, k2 in ((MolchanGolosov(h=0.75), MolchanGolosov(h=0.75)), tab):
+            a1, a2 = fsde._coupling(k1, k2, SYNC, 1.0, 16, None, None)[:2]
+            assert a1 is a2
+        a1, a2 = fsde._coupling(MolchanGolosov(h=0.75), MolchanGolosov(h=0.7), SYNC, 1.0, 16,
+                                None, None)[:2]
+        assert a1 is not a2
 
     @pytest.mark.parametrize("n_paths, n_workers", [(0, 1), (5, 0), (5, -3)])
     def test_rejects_no_paths_or_workers(self, n_paths, n_workers):
@@ -300,6 +326,60 @@ class TestExplosionScan:
         assert self._run(monkeypatch, spikes, 100, 100, n_workers) == 9
 
 
+@pytest.fixture
+def blas_threads():
+    """The real OpenBLAS (get, set), with a thread count of 2 while the test runs."""
+    api = fsde._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    get, put = api
+    before = get()
+    put(2)
+    yield get, put
+    put(before)
+
+
+class TestBlasCap:
+    """While more than one worker runs, OpenBLAS runs on one thread; the count comes back."""
+
+    SPECS = tuple(_additive_spec(MolchanGolosov(T=1.0, h=h)) for h in (0.6, 0.8))
+
+    def _recorded(self, monkeypatch, blas_threads):
+        get, put = blas_threads
+        counts = []
+        monkeypatch.setattr(fsde, "_openblas_threads",
+                            lambda: (get, lambda n: counts.append(n) or put(n)))
+        return counts
+
+    def test_count_restored_after_return(self, monkeypatch, blas_threads):
+        counts = self._recorded(monkeypatch, blas_threads)
+        estimate_coupling_cost(*self.SPECS, SYNC, 32, 5000, seed=1, n_workers=2)
+        assert counts == [1, 2]
+        assert blas_threads[0]() == 2
+
+    def test_count_restored_after_worker_error(self, monkeypatch, blas_threads):
+        counts = self._recorded(monkeypatch, blas_threads)
+        spikes = [(4100, 50, 1e14), (4500, 10, 1e14)]
+        assert TestExplosionScan._run(monkeypatch, spikes, 100, 5000, 2) == 4500
+        assert counts == [1, 2]
+        assert blas_threads[0]() == 2
+
+    @pytest.mark.parametrize("n_workers, n_paths", [(1, 9000), (2, 4000)])
+    def test_not_capped_with_one_running_worker(self, monkeypatch, blas_threads, n_workers,
+                                                n_paths):
+        counts = self._recorded(monkeypatch, blas_threads)
+        estimate_coupling_cost(*self.SPECS, SYNC, 32, n_paths, seed=1, n_workers=n_workers)
+        assert counts == []
+
+    def test_other_blas_runs_uncapped_with_same_estimate(self, monkeypatch):
+        capped = estimate_coupling_cost(*self.SPECS, CouplingControl.independent(), 64, 9000,
+                                        seed=2, n_workers=2)
+        monkeypatch.setattr(fsde, "_openblas_threads", lambda: None)
+        uncapped = estimate_coupling_cost(*self.SPECS, CouplingControl.independent(), 64, 9000,
+                                          seed=2, n_workers=2)
+        assert uncapped == capped
+
+
 class TestLamperti:
     def test_unit_diffusion(self):
         diff, _ = make_diffusion({"name": "const", "c": 1.0})
@@ -327,12 +407,19 @@ class TestLamperti:
             x = lamperti_inverse(sigma, 0.5, y)
             assert lamperti_transform(sigma, 0.5, x) == pytest.approx(y, abs=1e-10)
 
-    def test_interpolating_inverse_matches_rootfinder(self):
+    @staticmethod
+    def _inverse_error(x0, x_range, n):
         sigma = lambda x: 2.0 + np.sin(np.asarray(x, dtype=float))
-        inv = lamperti_inverse_interpolator(sigma, 0.0, (-6.0, 6.0))
+        inv = lamperti_inverse_interpolator(sigma, x0, x_range, n=n)
         ys = np.linspace(-1.5, 1.5, 11)
-        exact = np.array([lamperti_inverse(sigma, 0.0, float(y)) for y in ys])
-        assert np.abs(inv(ys) - exact).max() < 1e-6
+        exact = np.array([lamperti_inverse(sigma, x0, float(y)) for y in ys])
+        return np.abs(inv(ys) - exact).max()
+
+    def test_interpolating_inverse_matches_rootfinder(self):
+        assert self._inverse_error(0.0, (-6.0, 6.0), 4097) < 1e-7
+
+    def test_interpolating_inverse_on_criterion_10_table(self):
+        assert self._inverse_error(0.5, (-15.0, 15.0), 8193) < 1e-7
 
     def test_nonpositive_sigma_rejected(self):
         sigma = lambda x: np.asarray(x, dtype=float)

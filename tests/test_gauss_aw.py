@@ -190,6 +190,37 @@ class TestContinuousFbm:
         with pytest.raises(DomainError):
             continuous_aw_fbm(0.0, 0.5, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("T", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_bad_horizon_is_named(self, T):
+        for call in (lambda: fbm_spec(0.5, T), lambda: continuous_aw_fbm(0.5, 0.7, T)):
+            with pytest.raises(DomainError, match="horizon T"):
+                call()
+
+
+class TestEqualKernelsEvaluatedOnce:
+    @staticmethod
+    def _count(monkeypatch, cls):
+        calls = []
+        evaluate = cls.eval
+        monkeypatch.setattr(cls, "eval", lambda k, t, s: calls.append(k) or evaluate(k, t, s))
+        return calls
+
+    def test_equal_fbm_pair(self, monkeypatch):
+        calls = self._count(monkeypatch, MolchanGolosov)
+        rep = continuous_aw_unit(fbm_spec(0.6), fbm_spec(0.6), QuadratureGrid(n_s=64, n_t=64))
+        assert len(calls) == 1
+        assert rep.distance_squared == 0.0
+        calls.clear()
+        continuous_aw_unit(fbm_spec(0.6), fbm_spec(0.7), QuadratureGrid(n_s=64, n_t=64))
+        assert len(calls) == 2
+
+    def test_cantor_pair(self, monkeypatch):
+        calls = self._count(monkeypatch, Brownian)
+        rep = continuous_aw_unit(cantor_martingale_spec(), cantor_martingale_spec())
+        assert len(calls) == 1
+        assert rep.distance_squared == 0.0
+
 
 class TestTransferPrinciple:
     def test_fbm_cov_matrix_is_spd(self):

@@ -10,8 +10,8 @@ from scipy.special import hyp1f1
 from awgp.errors import DomainError, MeasureOrderingError, SingularityError
 from awgp.kernels import (Brownian, ConstantVolatility, FractionalOU, GaussianProcessSpec,
                           IntensityMeasure, MolchanGolosov, RiemannLiouville, Tabulated,
-                          cantor_function, covariance, eval_fou_kernel, eval_mg_kernel,
-                          eval_rl_kernel, load_tabulated_csv)
+                          _same_kernels, cantor_function, covariance, eval_fou_kernel,
+                          eval_mg_kernel, eval_rl_kernel, load_tabulated_csv)
 from awgp.fsde import _kernel_matrix
 from awgp.gauss_aw import _nodes, _pair_gammas
 from awgp.oracles import get_golden
@@ -345,6 +345,26 @@ class TestTabulated:
             fh.write("x,y,z\n0,0,0\n")
         with pytest.raises(DomainError):
             load_tabulated_csv(path)
+
+
+class TestSameKernels:
+    def test_tabulated_by_value(self):
+        grid = np.linspace(0.0, 1.0, 3)
+        vals = np.tril(np.ones((3, 3)))
+        a = Tabulated(t_grid=grid, s_grid=grid, values=vals)
+        b = Tabulated(t_grid=grid.copy(), s_grid=grid.copy(), values=vals.copy())
+        c = Tabulated(t_grid=grid, s_grid=grid, values=2.0 * vals)
+        with pytest.raises(ValueError):
+            a == b  # the dataclass comparison of array fields
+        assert _same_kernels((a,), (b,))
+        assert not _same_kernels((a,), (c,))
+
+    def test_type_field_and_length(self):
+        assert _same_kernels((MolchanGolosov(h=0.6), Brownian()),
+                             (MolchanGolosov(h=0.6), Brownian()))
+        assert not _same_kernels((MolchanGolosov(h=0.6),), (MolchanGolosov(h=0.7),))
+        assert not _same_kernels((MolchanGolosov(h=0.6),), (RiemannLiouville(h=0.6),))
+        assert not _same_kernels((Brownian(),), (Brownian(), Brownian()))
 
 
 class TestProcessSpec:
