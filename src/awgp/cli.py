@@ -54,7 +54,7 @@ def _report_text(report: DistanceReport, fmt: str, correlations: bool = False) -
 
 
 def _grid_from_args(args) -> QuadratureGrid:
-    n = int(getattr(args, "grid", None) or 256)
+    n = args.grid or 256
     return QuadratureGrid(n_s=n, n_t=n)
 
 
@@ -164,12 +164,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_READ_FLAGS = {
+    "correlations": dict(action="store_true",
+                         help="include the per-node correlation array in JSON output"),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "grid": dict(type=int, help="quadrature resolution (default 256)"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *reads: str) -> None:
+    """Add the flags every subcommand takes and the ``_READ_FLAGS`` named in ``reads``,
+    those its handler reads: a subcommand accepts no flag it would ignore."""
     p.add_argument("--output", help="output file (default stdout)")
-    p.add_argument("--correlations", action="store_true",
-                   help="include the per-node correlation array in JSON output")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--grid", type=int, help="quadrature resolution (default 256)")
+    for name in reads:
+        p.add_argument("--" + name, **_READ_FLAGS[name])
     # a string default goes through ``type`` at parse time, so a bad
     # $AWGP_THREADS is a usage error (exit 2) like a bad flag
     p.add_argument("--threads", type=_positive_int,
@@ -192,31 +200,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="store_true", help="emit a CSV over an (H1, H2) grid")
     p.add_argument("--h1-range", help="sweep range lo:hi:count")
     p.add_argument("--h2-range", help="sweep range lo:hi:count")
-    _add_common(p)
+    _add_common(p, "correlations", "format", "grid")
     p.set_defaults(fn=_cmd_aw_fbm, required_fields=())
 
     p = sub.add_parser("aw-discrete", help="distance between discrete Gaussian laws")
     p.add_argument("--cov1", help="CSV covariance matrix")
     p.add_argument("--cov2", help="CSV covariance matrix")
-    _add_common(p)
+    _add_common(p, "correlations", "format")
     p.set_defaults(fn=_cmd_aw_discrete, required_fields=("cov1", "cov2"))
 
     p = sub.add_parser("aw-unit", help="distance between unit-multiplicity specs")
     p.add_argument("--spec1", help="process spec JSON file")
     p.add_argument("--spec2", help="process spec JSON file")
-    _add_common(p)
+    _add_common(p, "correlations", "format", "grid")
     p.set_defaults(fn=_cmd_aw_unit, required_fields=("spec1", "spec2"))
 
     p = sub.add_parser("aw-multi", help="distance between higher-multiplicity specs")
     p.add_argument("--spec1", help="process spec JSON file")
     p.add_argument("--spec2", help="process spec JSON file")
-    _add_common(p)
+    _add_common(p, "correlations", "format", "grid")
     p.set_defaults(fn=_cmd_aw_multi, required_fields=("spec1", "spec2"))
 
     p = sub.add_parser("mart-approx", help="best martingale approximation to an fBM")
     p.add_argument("--h", type=float)
     p.add_argument("--T", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, "format", "grid")
     p.set_defaults(fn=_cmd_mart_approx, required_fields=("h",))
 
     p = sub.add_parser("simulate", help="Monte Carlo coupling costs for a scenario")

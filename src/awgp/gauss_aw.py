@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError
 from .kernels import (Brownian, CallableKernel, GaussianProcessSpec, IntensityMeasure,
-                      VolterraKernel, _check_hurst, _same_kernels, fbm_spec)
+                      VolterraKernel, _check_hurst, _same_kernels, covariance, fbm_spec)
 from .quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent
 
 __all__ = [
@@ -158,24 +159,15 @@ def cholesky_causal_factor(sigma: CovMatrix | np.ndarray) -> TriangularFactor:
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(_first_failing_pivot(a)) from None
+        # potrf's info is the 1-based order of the first leading minor that is not
+        # positive definite; 0, where numpy's LAPACK build failed and scipy's did
+        # not, names the last pivot
+        raise NotPositiveDefiniteError((dpotrf(a, lower=1)[1] or a.shape[0]) - 1) from None
     pivots = np.diag(low) ** 2
     tol = _PIVOT_TOL * float(np.diag(a).max())
     if pivots.min() <= tol:
         raise NotPositiveDefiniteError(int(np.argmin(pivots)))
     return TriangularFactor(entries=low)
-
-
-def _first_failing_pivot(a: np.ndarray) -> int:
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - np.dot(low[j, :j], low[j, :j])
-        if d <= 0.0:
-            return j
-        low[j, j] = np.sqrt(d)
-        low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return n - 1
 
 
 def discrete_aw(sigma1: CovMatrix | np.ndarray, sigma2: CovMatrix | np.ndarray) -> DistanceReport:
@@ -220,6 +212,8 @@ def _pair_gammas(kernels1: Sequence[VolterraKernel], kernels2: Sequence[Volterra
 
 
 def _s_nodes(T: float, n: int, gamma: float, scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, T] clustered at 0: ``n`` graded midpoint cells, or
+    ``max(n // 4, 4)`` four-point Gauss panels graded one power steeper."""
     if scheme == "midpoint":
         return graded_midpoint(0.0, T, n, gamma=gamma, cluster="left")
     return graded_gauss(0.0, T, max(n // 4, 4), order=4, gamma=gamma + 1.0, cluster="left")
@@ -228,10 +222,7 @@ def _s_nodes(T: float, n: int, gamma: float, scheme: str) -> tuple[np.ndarray, n
 def _t_matrix(s: np.ndarray, T: float, n_t: int, gamma: float, scheme: str
               ) -> tuple[np.ndarray, np.ndarray]:
     """Per-s-node t-quadrature on [s, T], clustered at t = s; shapes (n_s, n_t)."""
-    if scheme == "midpoint":
-        u, w = graded_midpoint(0.0, 1.0, n_t, gamma=gamma, cluster="left")
-    else:
-        u, w = graded_gauss(0.0, 1.0, max(n_t // 4, 4), order=4, gamma=gamma + 1.0, cluster="left")
+    u, w = _s_nodes(1.0, n_t, gamma, scheme)
     span = (T - s)[:, None]
     return s[:, None] + span * u[None, :], span * w[None, :]
 
@@ -494,13 +485,7 @@ def levy_noncanonical_check(grid: QuadratureGrid | None = None) -> dict:
 
     # (a) covariance reproduction on a grid of (t, s) pairs
     pts = np.linspace(0.1, 1.0, 10)
-    worst = 0.0
-    for t in pts:
-        for s in pts:
-            r, w = graded_midpoint(0.0, min(t, s), grid.n_t, gamma=1.0, cluster="left")
-            val = float(np.sum(phi.eval(np.full_like(r, t), r)
-                               * phi.eval(np.full_like(r, s), r) * w))
-            worst = max(worst, abs(val - min(t, s)))
+    worst = max(abs(covariance(phi, leb, t, s, grid) - min(t, s)) for t in pts for s in pts)
 
     spec_phi = GaussianProcessSpec(components=[(phi, leb)], T=1.0)
     spec_bm = GaussianProcessSpec(components=[(Brownian(T=1.0), leb)], T=1.0)
@@ -521,8 +506,8 @@ def fbm_cov_matrix(h: float, times: np.ndarray) -> CovMatrix:
     """Exact fBM covariance 0.5 (t^2H + s^2H - |t-s|^2H) at the given times."""
     t = np.asarray(times, dtype=float)[:, None]
     s = np.asarray(times, dtype=float)[None, :]
-    r = 0.5 * (t ** (2 * h) + s ** (2 * h) - np.abs(t - s) ** (2 * h))
-    return CovMatrix(entries=0.5 * (r + r.T))
+    # exactly symmetric as written: the sum commutes and |t - s| = |s - t|
+    return CovMatrix(entries=0.5 * (t ** (2 * h) + s ** (2 * h) - np.abs(t - s) ** (2 * h)))
 
 
 def _proper_rotation(p1: float, n1: float, n2: float, p2: float, j: int, tol: float

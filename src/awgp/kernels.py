@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,17 +47,23 @@ def _check_hurst(h: float) -> None:
         raise DomainError(f"Hurst parameter must lie in (0, 1), got {h}")
 
 
-def _broadcast(t, s) -> tuple[np.ndarray, np.ndarray, bool]:
+def _on_times(core, t, s, singular_at_origin: str | None = None):
+    """``core(t, s)`` on t and s broadcast together, as a float for scalar input and
+    in the broadcast shape otherwise.
+
+    The times must be finite and nonnegative; a kernel named by
+    ``singular_at_origin`` also rejects s = 0 with a SingularityError.
+    """
     t_arr, s_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-    scalar = t_arr.ndim == 0
-    return np.atleast_1d(t_arr), np.atleast_1d(s_arr), scalar
-
-
-def _check_times(t: np.ndarray, s: np.ndarray) -> None:
-    if not (np.all(t >= 0.0) and np.all(s >= 0.0)):
+    # one reduction per bound and array; a NaN propagates, so it fails the first test
+    if not (t_arr.min(initial=0.0) >= 0.0 and s_arr.min(initial=0.0) >= 0.0):
         raise DomainError("times must be nonnegative")
-    if not (np.isfinite(t).all() and np.isfinite(s).all()):
+    if not (t_arr.max(initial=0.0) < np.inf and s_arr.max(initial=0.0) < np.inf):
         raise DomainError("times must be finite")
+    if singular_at_origin and np.any(s_arr == 0.0):
+        raise SingularityError(f"{singular_at_origin} is singular at s = 0; use interior nodes")
+    out = core(np.atleast_1d(t_arr), np.atleast_1d(s_arr))
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def _mg_const(h: float) -> float:
@@ -97,12 +104,7 @@ def eval_mg_kernel(h: float, t, s):
     integral in the library uses interior nodes instead.
     """
     _check_hurst(h)
-    t_arr, s_arr, scalar = _broadcast(t, s)
-    _check_times(t_arr, s_arr)
-    if np.any((s_arr == 0.0) & (t_arr >= 0.0)):
-        raise SingularityError("Molchan-Golosov kernel is singular at s = 0; use interior nodes")
-    out = _mg_core(h, t_arr, s_arr)
-    return float(out[0]) if scalar else out.reshape(np.shape(np.broadcast_arrays(t, s)[0]))
+    return _on_times(partial(_mg_core, h), t, s, "Molchan-Golosov kernel")
 
 
 def _rl_core(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -120,10 +122,7 @@ def _rl_core(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
 def eval_rl_kernel(h: float, t, s):
     """Riemann-Liouville kernel (t - s)^(H - 1/2) / Gamma(H + 1/2); 0 for s > t."""
     _check_hurst(h)
-    t_arr, s_arr, scalar = _broadcast(t, s)
-    _check_times(t_arr, s_arr)
-    out = _rl_core(h, t_arr, s_arr)
-    return float(out[0]) if scalar else out.reshape(np.shape(np.broadcast_arrays(t, s)[0]))
+    return _on_times(partial(_rl_core, h), t, s)
 
 
 def _fou_core(h: float, lam: float, t: np.ndarray, s: np.ndarray,
@@ -211,12 +210,8 @@ def eval_fou_kernel(h: float, lam: float, t, s, quad_nodes: int = 64,
     At lam = 0 both reduce to the base kernel.
     """
     _check_hurst(h)
-    t_arr, s_arr, scalar = _broadcast(t, s)
-    _check_times(t_arr, s_arr)
-    if base == "mg" and np.any((s_arr == 0.0) & (t_arr >= 0.0)):
-        raise SingularityError("fOU kernel with Molchan-Golosov base is singular at s = 0")
-    out = _fou_core(h, lam, t_arr, s_arr, quad_nodes, base, convention)
-    return float(out[0]) if scalar else out.reshape(np.shape(np.broadcast_arrays(t, s)[0]))
+    core = partial(_fou_core, h, lam, n_inner=quad_nodes, base=base, convention=convention)
+    return _on_times(core, t, s, "fOU kernel with Molchan-Golosov base" if base == "mg" else None)
 
 
 @dataclass(frozen=True)
@@ -344,9 +339,7 @@ class Brownian(VolterraKernel):
     kind = "brownian"
 
     def eval(self, t, s):
-        t_arr, s_arr, scalar = _broadcast(t, s)
-        out = (s_arr <= t_arr).astype(float)
-        return float(out[0]) if scalar else out.reshape(np.shape(np.broadcast_arrays(t, s)[0]))
+        return _on_times(lambda t, s: (s <= t).astype(float), t, s)
 
 
 @dataclass(frozen=True)
@@ -357,9 +350,8 @@ class ConstantVolatility(VolterraKernel):
     kind = "constant_volatility"
 
     def eval(self, t, s):
-        t_arr, s_arr, scalar = _broadcast(t, s)
-        out = np.where(s_arr <= t_arr, np.asarray(self.rho(s_arr), dtype=float), 0.0)
-        return float(out[0]) if scalar else out.reshape(np.shape(np.broadcast_arrays(t, s)[0]))
+        return _on_times(lambda t, s: np.where(s <= t, np.asarray(self.rho(s), dtype=float), 0.0),
+                         t, s)
 
 
 @dataclass(frozen=True)
@@ -383,19 +375,20 @@ class Tabulated(VolterraKernel):
             raise DomainError("tabulated kernel must vanish for s > t")
 
     def eval(self, t, s):
-        t_arr, s_arr, scalar = _broadcast(t, s)
+        return _on_times(self._bilinear, t, s)
+
+    def _bilinear(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         t_g, s_g = np.asarray(self.t_grid, float), np.asarray(self.s_grid, float)
         vals = np.asarray(self.values, float)
-        tc = np.clip(t_arr, t_g[0], t_g[-1])
-        sc = np.clip(s_arr, s_g[0], s_g[-1])
+        tc = np.clip(t, t_g[0], t_g[-1])
+        sc = np.clip(s, s_g[0], s_g[-1])
         i = np.clip(np.searchsorted(t_g, tc) - 1, 0, t_g.size - 2)
         j = np.clip(np.searchsorted(s_g, sc) - 1, 0, s_g.size - 2)
         ft = (tc - t_g[i]) / (t_g[i + 1] - t_g[i])
         fs = (sc - s_g[j]) / (s_g[j + 1] - s_g[j])
         out = (vals[i, j] * (1 - ft) * (1 - fs) + vals[i + 1, j] * ft * (1 - fs)
                + vals[i, j + 1] * (1 - ft) * fs + vals[i + 1, j + 1] * ft * fs)
-        out = np.where(s_arr <= t_arr, out, 0.0)
-        return float(out[0]) if scalar else out.reshape(np.shape(np.broadcast_arrays(t, s)[0]))
+        return np.where(s <= t, out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -416,9 +409,8 @@ class CallableKernel(VolterraKernel):
         return self.diag_expo
 
     def eval(self, t, s):
-        t_arr, s_arr, scalar = _broadcast(t, s)
-        out = np.where(s_arr <= t_arr, np.asarray(self.fn(t_arr, s_arr), dtype=float), 0.0)
-        return float(out[0]) if scalar else out.reshape(np.shape(np.broadcast_arrays(t, s)[0]))
+        return _on_times(lambda t, s: np.where(s <= t, np.asarray(self.fn(t, s), dtype=float), 0.0),
+                         t, s)
 
 
 def _same_kernels(ks1: Sequence[VolterraKernel], ks2: Sequence[VolterraKernel]) -> bool:

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .gauss_aw import _s_nodes, _t_matrix
 from .kernels import eval_mg_kernel
-from .quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent
+# graded_midpoint and graded_gauss go unused here: the benchmark tracer binds them by name
+from .quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent  # noqa: F401
 
 __all__ = ["MartingaleApproxResult", "optimal_volatility", "mart_approx_distance"]
 
@@ -59,20 +61,16 @@ class MartingaleApproxResult:
                    h=float(d["h"]), T=float(d["T"]))
 
 
-def _s_quadrature(r: np.ndarray, T: float, h: float, n: int,
-                  scheme: str = "midpoint") -> tuple[np.ndarray, np.ndarray]:
-    """Per-r quadrature for int_r^T f(s) ds, clustered at s = r.
+def _kernel_rows(h: float, r: np.ndarray, T: float, n: int, scheme: str
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k_H(s, r) on each r's s-grid over [r, T], the grid's weights, and rho_H(r).
 
-    The integrand k_H(s, r) behaves like (s - r)^(H - 1/2) near s = r, which
-    is singular for H < 1/2.
+    The grid clusters at s = r, where k_H(s, r) behaves like (s - r)^(H - 1/2),
+    singular for H < 1/2.
     """
-    gamma = grading_exponent(max(0.0, 0.5 - h), h)
-    if scheme == "midpoint":
-        u, w = graded_midpoint(0.0, 1.0, n, gamma=gamma, cluster="left")
-    else:
-        u, w = graded_gauss(0.0, 1.0, max(n // 4, 4), order=4, gamma=gamma + 1.0, cluster="left")
-    span = (T - r)[:, None]
-    return r[:, None] + span * u[None, :], span * w[None, :]
+    s_mat, w_mat = _t_matrix(r, T, n, grading_exponent(max(0.0, 0.5 - h), h), scheme)
+    vals = eval_mg_kernel(h, s_mat.ravel(), np.repeat(r, s_mat.shape[1])).reshape(s_mat.shape)
+    return vals, w_mat, np.sum(vals * w_mat, axis=1) / (T - r)
 
 
 def optimal_volatility(h: float, r, T: float, quad_nodes: int = 256,
@@ -83,10 +81,7 @@ def optimal_volatility(h: float, r, T: float, quad_nodes: int = 256,
         raise DomainError("optimal_volatility requires r > 0 (kernel singular at r = 0)")
     if np.any(r_arr >= T):
         raise DomainError("optimal_volatility requires r < T")
-    s_mat, w_mat = _s_quadrature(r_arr, T, h, quad_nodes, scheme)
-    vals = eval_mg_kernel(h, s_mat.ravel(),
-                          np.repeat(r_arr, s_mat.shape[1])).reshape(s_mat.shape)
-    out = np.sum(vals * w_mat, axis=1) / (T - r_arr)
+    out = _kernel_rows(h, r_arr, T, quad_nodes, scheme)[2]
     return float(out[0]) if (np.isscalar(r) or np.asarray(r).ndim == 0) else out
 
 
@@ -102,17 +97,8 @@ def mart_approx_distance(h: float, T: float = 1.0,
     if not 0.0 < h < 1.0:
         raise DomainError("Hurst parameter must lie in (0, 1)")
     grid = grid or QuadratureGrid()
-    gamma_r = grading_exponent(2.0 * abs(h - 0.5), h)
-    if scheme == "midpoint":
-        r_nodes, r_w = graded_midpoint(0.0, T, grid.n_s, gamma=gamma_r, cluster="left")
-    else:
-        r_nodes, r_w = graded_gauss(0.0, T, max(grid.n_s // 4, 4), order=4,
-                                    gamma=gamma_r + 1.0, cluster="left")
-
-    s_mat, w_mat = _s_quadrature(r_nodes, T, h, grid.n_t, scheme)
-    vals = eval_mg_kernel(h, s_mat.ravel(),
-                          np.repeat(r_nodes, s_mat.shape[1])).reshape(s_mat.shape)
-    rho = np.sum(vals * w_mat, axis=1) / (T - r_nodes)
+    r_nodes, r_w = _s_nodes(T, grid.n_s, grading_exponent(2.0 * abs(h - 0.5), h), scheme)
+    vals, w_mat, rho = _kernel_rows(h, r_nodes, T, grid.n_t, scheme)
     inner = np.sum((vals - rho[:, None]) ** 2 * w_mat, axis=1)
     dist = float(np.sum(inner * r_w))
     return MartingaleApproxResult(r_nodes=r_nodes, rho=rho, distance_squared=dist, h=h, T=T)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .fsde import _BLOCK, CouplingControl, _coupling, _noise_block
 from .gauss_aw import (TriangularFactor, cholesky_causal_factor, continuous_aw_unit,
-                       _psd_sqrt)
+                       _eval_components, _psd_sqrt, _t_matrix)
 from .kernels import (GaussianProcessSpec, IntensityMeasure, VolterraKernel, covariance,
                       eval_fou_kernel, fbm_spec)
 from .mart_approx import mart_approx_distance, optimal_volatility
@@ -98,18 +98,13 @@ def bruteforce_discrete_cross_term(k1: TriangularFactor | np.ndarray,
 def pointwise_optimal_correlation(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
                                   times: np.ndarray, n_t: int = 256) -> np.ndarray:
     """sign(<k1(., s), k2(., s)>) at the given times (unit multiplicity)."""
-    k1 = spec1.components[0][0]
-    k2 = spec2.components[0][0]
     T = spec1.T
     out = np.ones(times.size)
     inside = times < T
     s = np.clip(times[inside], 1e-12, None)
-    u, w = graded_midpoint(0.0, 1.0, n_t, gamma=2.0, cluster="left")
-    t_mat = s[:, None] + (T - s)[:, None] * u[None, :]
-    w_mat = (T - s)[:, None] * w[None, :]
-    s_mat = np.broadcast_to(s[:, None], t_mat.shape)
-    ip = np.sum(k1.eval(t_mat.ravel(), s_mat.ravel()).reshape(t_mat.shape)
-                * k2.eval(t_mat.ravel(), s_mat.ravel()).reshape(t_mat.shape) * w_mat, axis=1)
+    t_mat, w_mat = _t_matrix(s, T, n_t, 2.0, "midpoint")
+    v = _eval_components([spec1.components[0][0], spec2.components[0][0]], t_mat, s)
+    ip = np.sum(v[0] * v[1] * w_mat, axis=1)
     out[inside] = np.where(ip >= 0.0, 1.0, -1.0)
     return out
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.special
 
 from .errors import ConvergenceError, DomainError
 
@@ -28,21 +29,6 @@ __all__ = [
     "hyp2f1",
     "hyp2f1_series",
 ]
-
-# Lanczos approximation, g = 7, 9 terms.  Classic published coefficient set;
-# relative error ~1e-15 over the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
 
 # Series truncation (see the module docstring): two successive checks span
 # five terms, so even/odd cancellation cannot stop a lane early.  A block's
@@ -58,37 +44,19 @@ _BLOCK = 32768
 _Z_SWITCH = -1.0
 
 
-def _lanczos_positive(x: np.ndarray) -> np.ndarray:
-    """Lanczos gamma for x > 0 (array, no validation)."""
-    # reflection for x < 0.5 keeps the core evaluation in its sweet spot
-    small = x < 0.5
-    xs = np.where(small, 1.0 - x, x)
-
-    acc = np.full_like(xs, _LANCZOS_COEF[0])
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc = acc + _LANCZOS_COEF[i] / (xs - 1.0 + i)
-    t = xs - 1.0 + _LANCZOS_G + 0.5
-    out = math.sqrt(2.0 * math.pi) * t ** (xs - 0.5) * np.exp(-t) * acc
-
-    if np.any(small):
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        out = np.where(small, np.pi / (np.sin(np.pi * x) * out), out)
-    return out
-
-
 def gamma_fn(x):
-    """Gamma function for positive real ``x``.
+    """Gamma function for positive real ``x``: ``scipy.special.gamma`` behind a domain check.
 
     Raises
     ------
     DomainError
-        If any entry of ``x`` is <= 0.  Non-positive arguments never arise
+        If any entry of ``x`` is <= 0 or NaN.  Non-positive arguments never arise
         from valid Hurst parameters, so no analytic continuation is done.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):  # NaN fails too
         raise DomainError("gamma_fn requires x > 0")
-    out = _lanczos_positive(arr)
+    out = scipy.special.gamma(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

@@ -163,6 +163,27 @@ class TestAwUnitMulti:
         assert exc.value.code == 2
 
 
+# each subcommand takes only the common flags its handler reads
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command,flag,value", [
+    ("simulate", "format", "csv"), ("simulate", "grid", 64), ("simulate", "correlations", True),
+    ("check-assumptions", "format", "csv"), ("check-assumptions", "grid", 64),
+    ("check-assumptions", "correlations", True), ("aw-discrete", "grid", 64),
+    ("mart-approx", "correlations", True),
+])
+def test_unread_common_flag_exit_2(command, flag, value, via_config, tmp_path, capsys):
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: value}))
+        argv = [command, "--config", str(cfg)]
+    else:
+        argv = [command, "--" + flag] + ([] if value is True else [str(value)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 class TestMartApprox:
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "mart-approx", "--h", "0.5", "--grid", "32")

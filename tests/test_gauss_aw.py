@@ -21,6 +21,19 @@ def random_spd(rng, n):
     return a @ a.T + n * 0.05 * np.eye(n)
 
 
+def python_first_failing_pivot(a):
+    """Reference: unblocked Cholesky in Python, stopping at the first pivot <= 0."""
+    n = a.shape[0]
+    low = np.zeros_like(a)
+    for j in range(n):
+        d = a[j, j] - np.dot(low[j, :j], low[j, :j])
+        if d <= 0.0:
+            return j
+        low[j, j] = np.sqrt(d)
+        low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    return n - 1
+
+
 class TestCholesky:
     def test_identity(self):
         k = cholesky_causal_factor(np.eye(3))
@@ -43,6 +56,23 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             cholesky_causal_factor(bad)
         assert exc.value.pivot_index == 1
+
+    def test_pivot_index_matches_python_search(self):
+        # A = L D L^T with L unit lower triangular has the pivots D; the first
+        # non-positive one is at least 0.1 below 0, so rounding cannot move it
+        rng = np.random.default_rng(20261018)
+        for _ in range(400):
+            n = int(rng.integers(2, 13))
+            j = int(rng.integers(n))
+            low = np.tril(rng.normal(scale=0.5, size=(n, n)), -1) + np.eye(n)
+            d = rng.uniform(0.1, 1.0, n) * rng.choice([-1.0, 1.0], n)
+            d[:j] = np.abs(d[:j])
+            d[j] = -abs(d[j])
+            a = (low * d) @ low.T
+            a = np.tril(a) + np.tril(a, -1).T
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                cholesky_causal_factor(a)
+            assert exc.value.pivot_index == python_first_failing_pivot(a) == j
 
     def test_degenerate_rejected_not_regularized(self):
         v = np.array([[1.0], [1.0]])
@@ -227,6 +257,14 @@ class TestTransferPrinciple:
         times = (np.arange(64) + 0.5) / 64
         cov = fbm_cov_matrix(0.75, times)
         cholesky_causal_factor(cov)
+
+    @pytest.mark.parametrize("h", [0.05, 0.3, 0.5, 0.75, 0.95])
+    def test_fbm_cov_matrix_exactly_symmetric(self, h):
+        # the formula is symmetric in IEEE arithmetic, so no symmetrising step is needed
+        rng = np.random.default_rng(7)
+        for n in (2, 100, 1000):
+            c = fbm_cov_matrix(h, np.sort(rng.uniform(0.0, 3.0, n)))
+            assert np.array_equal(c.entries, c.entries.T)
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_equal_laws_exactly_zero(self, n):

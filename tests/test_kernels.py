@@ -8,7 +8,8 @@ from scipy.special import gamma as sp_gamma
 from scipy.special import hyp1f1
 
 from awgp.errors import DomainError, MeasureOrderingError, SingularityError
-from awgp.kernels import (Brownian, ConstantVolatility, FractionalOU, GaussianProcessSpec,
+from awgp.kernels import (Brownian, CallableKernel, ConstantVolatility, FractionalOU,
+                          GaussianProcessSpec,
                           IntensityMeasure, MolchanGolosov, RiemannLiouville, Tabulated,
                           _same_kernels, cantor_function, covariance, eval_fou_kernel,
                           eval_mg_kernel, eval_rl_kernel, load_tabulated_csv)
@@ -58,7 +59,12 @@ class TestTimeValidation:
         lambda t, s: eval_rl_kernel(0.3, t, s),
         lambda t, s: eval_fou_kernel(0.7, 1.0, t, s),
         lambda t, s: eval_fou_kernel(0.3, 1.0, t, s, base="rl"),
-    ], ids=["mg", "rl", "fou-mg", "fou-rl"])
+        Brownian().eval,
+        ConstantVolatility().eval,
+        Tabulated().eval,
+        CallableKernel().eval,
+    ], ids=["mg", "rl", "fou-mg", "fou-rl", "brownian", "constant-volatility", "tabulated",
+            "callable"])
     @pytest.mark.parametrize("t,s", [
         ([1.0, np.nan], [0.5, 0.5]), ([1.0, 1.0], [0.5, np.nan]),
         ([1.0, np.inf], [0.5, 0.5]), ([1.0, 1.0], [0.5, -0.1]),

@@ -6,7 +6,7 @@ from awgp.gauss_aw import continuous_aw_fbm
 from awgp.kernels import eval_mg_kernel
 from awgp.mart_approx import MartingaleApproxResult, mart_approx_distance, optimal_volatility
 from awgp.oracles import get_golden
-from awgp.quadrature import QuadratureGrid
+from awgp.quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent
 
 
 class TestOptimalVolatility:
@@ -61,8 +61,10 @@ class TestMartApproxDistance:
         h, T = 0.7, 1.0
         grid = QuadratureGrid(n_s=64, n_t=128)
         res = mart_approx_distance(h, T, grid)
-        from awgp.mart_approx import _s_quadrature
-        s_mat, w_mat = _s_quadrature(res.r_nodes, T, h, grid.n_t)
+        from awgp.gauss_aw import _t_matrix
+        from awgp.quadrature import grading_exponent
+        s_mat, w_mat = _t_matrix(res.r_nodes, T, grid.n_t,
+                                 grading_exponent(max(0.0, 0.5 - h), h), "midpoint")
         vals = eval_mg_kernel(h, s_mat.ravel(),
                               np.repeat(res.r_nodes, s_mat.shape[1])).reshape(s_mat.shape)
         base = np.sum((vals - res.rho[:, None]) ** 2 * w_mat, axis=1)
@@ -90,3 +92,41 @@ class TestMartApproxDistance:
     def test_hurst_domain(self):
         with pytest.raises(DomainError):
             mart_approx_distance(1.2, 1.0)
+
+
+def _old_rule(a, b, n, gamma, scheme):
+    """The node rule the module used to write out itself."""
+    if scheme == "midpoint":
+        return graded_midpoint(a, b, n, gamma=gamma, cluster="left")
+    return graded_gauss(a, b, max(n // 4, 4), order=4, gamma=gamma + 1.0, cluster="left")
+
+
+def _old_rows(h, r, T, n, scheme):
+    u, w = _old_rule(0.0, 1.0, n, grading_exponent(max(0.0, 0.5 - h), h), scheme)
+    span = (T - r)[:, None]
+    s_mat, w_mat = r[:, None] + span * u[None, :], span * w[None, :]
+    vals = eval_mg_kernel(h, s_mat.ravel(), np.repeat(r, s_mat.shape[1])).reshape(s_mat.shape)
+    return vals, w_mat, np.sum(vals * w_mat, axis=1) / (T - r)
+
+
+class TestSharedNodeBuilders:
+    """The distance core's node builders give bitwise what the old inline rules gave."""
+
+    @pytest.mark.parametrize("scheme", ["midpoint", "gauss"])
+    @pytest.mark.parametrize("h", [0.2, 0.5, 0.7])
+    def test_mart_approx_distance(self, h, scheme):
+        T, grid = 1.3, QuadratureGrid(n_s=48, n_t=80)
+        r, r_w = _old_rule(0.0, T, grid.n_s, grading_exponent(2.0 * abs(h - 0.5), h), scheme)
+        vals, w_mat, rho = _old_rows(h, r, T, grid.n_t, scheme)
+        dist = float(np.sum(np.sum((vals - rho[:, None]) ** 2 * w_mat, axis=1) * r_w))
+        res = mart_approx_distance(h, T, grid, scheme=scheme)
+        assert np.array_equal(res.r_nodes, r)
+        assert np.array_equal(res.rho, rho)
+        assert res.distance_squared == dist
+
+    @pytest.mark.parametrize("scheme", ["midpoint", "gauss"])
+    @pytest.mark.parametrize("h", [0.2, 0.7])
+    def test_optimal_volatility(self, h, scheme):
+        r = np.linspace(0.05, 0.95, 19)
+        assert np.array_equal(optimal_volatility(h, r, 1.0, 96, scheme),
+                              _old_rows(h, r, 1.0, 96, scheme)[2])

@@ -10,7 +10,7 @@ from awgp.oracles import (OracleVerdict, bruteforce_discrete_cross_term, cholesk
                           get_golden, load_goldens, mc_formula_check,
                           pointwise_optimal_correlation, psd_feasibility_sampler,
                           quadrature_crosscheck, regenerate_goldens)
-from awgp.quadrature import QuadratureGrid
+from awgp.quadrature import QuadratureGrid, graded_midpoint
 
 
 class TestBruteforce:
@@ -52,6 +52,42 @@ class TestMcFormulaCheck:
         times = np.linspace(0.0, 1.0, 17)[:-1]
         signs = pointwise_optimal_correlation(fbm_spec(0.5), fbm_spec(0.75), times)
         assert np.all(signs == 1.0)
+
+    def test_sign_probe_matches_old_inline_rule(self):
+        # the shared t-grid builder against the rule the probe used to write out
+        from awgp.gauss_aw import _levy_kernel
+        from awgp.kernels import Brownian, CallableKernel, GaussianProcessSpec, fou_spec
+
+        def old_probe(spec1, spec2, times, n_t):
+            k1, k2, T = spec1.components[0][0], spec2.components[0][0], spec1.T
+            out = np.ones(times.size)
+            inside = times < T
+            s = np.clip(times[inside], 1e-12, None)
+            u, w = graded_midpoint(0.0, 1.0, n_t, gamma=2.0, cluster="left")
+            t_mat = s[:, None] + (T - s)[:, None] * u[None, :]
+            w_mat = (T - s)[:, None] * w[None, :]
+            s_mat = np.broadcast_to(s[:, None], t_mat.shape)
+            ip = np.sum(k1.eval(t_mat.ravel(), s_mat.ravel()).reshape(t_mat.shape)
+                        * k2.eval(t_mat.ravel(), s_mat.ravel()).reshape(t_mat.shape) * w_mat,
+                        axis=1)
+            out[inside] = np.where(ip >= 0.0, 1.0, -1.0)
+            return out
+
+        points = []  # the (t, s) nodes the Levy kernel is evaluated on
+
+        def levy_fn(t, s, phi=_levy_kernel().fn):
+            points.append(np.concatenate([t, s]))
+            return phi(t, s)
+
+        leb = IntensityMeasure.lebesgue()
+        levy = GaussianProcessSpec(components=[(CallableKernel(fn=levy_fn), leb)], T=1.0)
+        bm = GaussianProcessSpec(components=[(Brownian(T=1.0), leb)], T=1.0)
+        times = np.linspace(0.0, 1.0, 201)
+        for spec1, spec2 in [(levy, bm), (fbm_spec(0.3), fou_spec(0.7, 5.0)), (bm, fbm_spec(0.8))]:
+            new = pointwise_optimal_correlation(spec1, spec2, times, 96)
+            assert np.array_equal(new, old_probe(spec1, spec2, times, 96))
+        assert np.array_equal(points[0], points[1])  # the nodes of the new probe, then the old
+        assert np.unique(pointwise_optimal_correlation(levy, bm, times, 96)).size == 2
 
     def test_exact_expectation_within_allowance(self, monkeypatch):
         # the estimator's expectation, without sampling: one block of two

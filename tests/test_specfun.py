@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from awgp.errors import ConvergenceError, DomainError
@@ -16,10 +17,15 @@ class TestGamma:
         assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
     def test_accuracy_against_stdlib(self):
-        # independent oracle: CPython's libm gamma
+        # independent oracles: CPython's libm gamma on [0.1, 50], and mpmath at
+        # 40 digits on (0.01, 3], the range the kernel constants use
         xs = np.linspace(0.1, 50.0, 1500)
         ref = np.array([math.gamma(x) for x in xs])
         assert np.max(np.abs(gamma_fn(xs) - ref) / ref) < 1e-13
+        xs = np.linspace(0.01, 3.0, 3000)[1:]
+        with mp.workdps(40):
+            ref = np.array([float(mp.gamma(mp.mpf(float(x)))) for x in xs])
+        assert np.max(np.abs(gamma_fn(xs) - ref) / ref) < 1e-15
 
     def test_recurrence_on_grid(self):
         xs = np.linspace(0.1, 49.0, 1000)
@@ -27,7 +33,7 @@ class TestGamma:
         rhs = xs * gamma_fn(xs)
         assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 1e-12
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, np.nan])
     def test_domain_error(self, x):
         with pytest.raises(DomainError):
             gamma_fn(x)
