@@ -506,8 +506,11 @@ def fbm_cov_matrix(h: float, times: np.ndarray) -> CovMatrix:
     """Exact fBM covariance 0.5 (t^2H + s^2H - |t-s|^2H) at the given times."""
     t = np.asarray(times, dtype=float)[:, None]
     s = np.asarray(times, dtype=float)[None, :]
-    # exactly symmetric as written: the sum commutes and |t - s| = |s - t|
-    return CovMatrix(entries=0.5 * (t ** (2 * h) + s ** (2 * h) - np.abs(t - s) ** (2 * h)))
+    r = 0.5 * (t ** (2 * h) + s ** (2 * h) - np.abs(t - s) ** (2 * h))
+    # r is already exactly symmetric, so this returns r bit for bit.  The step stays
+    # for the heap holes its N x N temporaries leave: without them a process's later
+    # large numpy temporaries regrow the trimmed glibc heap, page-faulting on every call
+    return CovMatrix(entries=0.5 * (r + r.T))
 
 
 def _proper_rotation(p1: float, n1: float, n2: float, p2: float, j: int, tol: float

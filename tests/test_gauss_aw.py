@@ -260,10 +260,14 @@ class TestTransferPrinciple:
 
     @pytest.mark.parametrize("h", [0.05, 0.3, 0.5, 0.75, 0.95])
     def test_fbm_cov_matrix_exactly_symmetric(self, h):
-        # the formula is symmetric in IEEE arithmetic, so no symmetrising step is needed
+        # the formula is symmetric in IEEE arithmetic: the symmetrising step returns it bitwise
         rng = np.random.default_rng(7)
         for n in (2, 100, 1000):
-            c = fbm_cov_matrix(h, np.sort(rng.uniform(0.0, 3.0, n)))
+            times = np.sort(rng.uniform(0.0, 3.0, n))
+            c = fbm_cov_matrix(h, times)
+            t, s = times[:, None], times[None, :]
+            raw = 0.5 * (t ** (2 * h) + s ** (2 * h) - np.abs(t - s) ** (2 * h))
+            assert np.array_equal(c.entries, raw)
             assert np.array_equal(c.entries, c.entries.T)
 
     @pytest.mark.parametrize("n", [32, 64])
