@@ -15,7 +15,8 @@ where the geometric mean sqrt(mu1 mu2) vanishes on mutually singular parts.
 With densities on shared nodes this equals int ||k1 sqrt(rho1) - sigma k2
 sqrt(rho2)||^2 ds, sigma = sign <k1, k2>, which is how it is summed.
 Higher multiplicity replaces the absolute value by a trace norm of the
-matrix of component inner products.  A partition-based triangular integral
+matrix of component inner products and the sign by its orthogonal Procrustes
+factor U V^H (Schoenemann 1966).  A partition-based triangular integral
 approximates the cross term directly and serves as a structural cross-check.
 """
 
@@ -52,6 +53,7 @@ __all__ = [
 
 _PIVOT_TOL = 1e-10
 _SYM_TOL = 1e-12
+_N_SINGULAR = 100_000  # cells of the Stieltjes sum against a singular measure
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,10 @@ class CovMatrix:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError("covariance matrix must be square")
-        scale = max(1.0, float(np.abs(a).max()))
-        if np.abs(a - a.T).max() > _SYM_TOL * scale:
+        scale = float(np.abs(a).max())  # NaN and inf propagate into the maximum
+        if not math.isfinite(scale):
+            raise DomainError("covariance matrix entries must be finite")
+        if np.abs(a - a.T).max() > _SYM_TOL * max(1.0, scale):
             raise DomainError("covariance matrix is not symmetric")
         object.__setattr__(self, "entries", a)
 
@@ -105,7 +109,8 @@ class DistanceReport:
 
     ``optimal_correlation`` is a per-step/per-node sign array in the unit
     multiplicity and discrete cases, or a stack of per-node coupling factor
-    matrices in the higher-multiplicity case.
+    matrices U V^H, shape (n_s, m, n), in the higher-multiplicity case.
+    ``distance_squared`` is a sum of squares, so it is never negative.
     """
 
     distance_squared: float
@@ -151,22 +156,19 @@ class DistanceReport:
 def cholesky_causal_factor(sigma: CovMatrix | np.ndarray) -> TriangularFactor:
     """Cholesky factor K with K K^T = sigma, positive diagonal.
 
-    Raises NotPositiveDefiniteError naming the failing pivot when the matrix
-    is degenerate (smallest pivot <= 1e-10 times the largest diagonal entry;
-    degenerate inputs are rejected, not regularized).
+    Raises NotPositiveDefiniteError naming the first pivot at or below 1e-10
+    times the largest diagonal entry, or that LAPACK could not take, as
+    :func:`discretized_fbm_aw` does; degenerate inputs are not regularized.
     """
     a = sigma.entries if isinstance(sigma, CovMatrix) else CovMatrix(np.asarray(sigma)).entries
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        # potrf's info is the 1-based order of the first leading minor that is not
-        # positive definite; 0, where numpy's LAPACK build failed and scipy's did
-        # not, names the last pivot
-        raise NotPositiveDefiniteError((dpotrf(a, lower=1)[1] or a.shape[0]) - 1) from None
+    low, info = dpotrf(a, lower=1, clean=1)
     pivots = np.diag(low) ** 2
-    tol = _PIVOT_TOL * float(np.diag(a).max())
-    if pivots.min() <= tol:
-        raise NotPositiveDefiniteError(int(np.argmin(pivots)))
+    if info > 0:
+        # LAPACK could not take pivot info (1-based) and took none after it
+        pivots[info - 1:] = -np.inf
+    failing = np.flatnonzero(pivots <= _PIVOT_TOL * float(np.diag(a).max()))
+    if failing.size:
+        raise NotPositiveDefiniteError(int(failing[0]))
     return TriangularFactor(entries=low)
 
 
@@ -245,7 +247,7 @@ def _nodes(measure: IntensityMeasure, T: float, grid: QuadratureGrid, gamma_s: f
     charged cells, with midpoint rules in t.
     """
     if measure.is_singular:
-        edges = np.linspace(0.0, T, grid.n_singular + 1)
+        edges = np.linspace(0.0, T, _N_SINGULAR + 1)
         dmu = measure.cdf_increments(edges)
         live = dmu > 0.0
         s, ws = 0.5 * (edges[1:] + edges[:-1])[live], dmu[live]
@@ -272,10 +274,10 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     """One quadrature pass that evaluates each kernel once per node set, and equal kernel
     lists (as in AW(X, X)) once in all.
 
-    Unit multiplicity sums ||k1 sqrt(rho1) - sigma k2 sqrt(rho2)||^2 node by
-    node with sigma = sign <k1, k2>: the value has no cancellation and is
-    exactly 0 for identical inputs.  Higher multiplicity subtracts twice the
-    per-node trace norm from the trace term.
+    Each node scales the components by their root densities (V1, V2), takes the
+    coupling factor C of M = V1 W V2^T (sign M at unit multiplicity, U V^H of the
+    thin SVD otherwise) and adds ||V_more - C V_fewer||_W^2: no cancellation, and
+    exactly 0 for identical unit-multiplicity inputs.
     """
     if abs(spec1.T - spec2.T) > 1e-12:
         raise DomainError("horizon mismatch between process specs")
@@ -312,26 +314,26 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     v2 = v1 if _same_kernels(kernels1, kernels2) else _eval_components(kernels2, t_mat, s)
     rho1, rho2 = _densities(measures1, s), _densities(measures2, s)
     trace = _trace_term(v1, rho1, ws, w_mat) + _trace_term(v2, rho2, ws, w_mat)
-    ip = np.einsum("ist,jst,st->sij", v1, v2, w_mat)
-    geo = np.sqrt(rho1[0] * rho2[0])
+    prod = (np.einsum("ist,jst,st->sij", v1, v2, w_mat)  # M, shape (n_s, m, n)
+            * np.sqrt(rho1.T[:, :, None] * rho2.T[:, None, :]))
     if m == n == 1:
-        ip = ip[:, 0, 0]
-        corr = np.where(ip >= 0.0, 1.0, -1.0)
-        cross = float(np.sum(np.abs(ip) * geo * ws))
-        diff = v1[0] * np.sqrt(rho1[0])[:, None] - (corr * np.sqrt(rho2[0]))[:, None] * v2[0]
-        dist = float(np.sum(np.einsum("st,st,st->s", diff, diff, w_mat) * ws))
+        coupling = np.where(prod >= 0.0, 1.0, -1.0)  # tie (exact 0) resolved to +1
+        sing = np.abs(prod[:, 0])
     else:
-        # Radon-Nikodym ratios against the leading measures, 0/0 -> 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.sqrt(np.where(rho1[0] > 0.0, rho1 / rho1[0], 0.0))
-            r2 = np.sqrt(np.where(rho2[0] > 0.0, rho2 / rho2[0], 0.0))
-        u_svd, sing, vh_svd = np.linalg.svd(ip * r1.T[:, :, None] * r2.T[:, None, :],
-                                            full_matrices=False)
-        cross = float(np.sum(np.sum(sing, axis=1) * geo * ws))
-        corr = np.matmul(u_svd, vh_svd)  # per-node optimal coupling factor
-        dist = trace - 2.0 * cross
+        u_svd, sing, vh_svd = np.linalg.svd(prod, full_matrices=False)
+        coupling = np.matmul(u_svd, vh_svd)
+    cross = float(np.sum(np.sum(sing, axis=1) * ws))
+    # C is an isometry on the side with fewer components, so this sums trace - 2 cross
+    if m >= n:
+        diff = v1 * np.sqrt(rho1)[:, :, None]
+        diff -= np.einsum("sij,jst,js->ist", coupling, v2, np.sqrt(rho2))
+    else:
+        diff = v2 * np.sqrt(rho2)[:, :, None]
+        diff -= np.einsum("sij,ist,is->jst", coupling, v1, np.sqrt(rho1))
+    dist = float(np.sum(np.einsum("ist,ist,st->s", diff, diff, w_mat) * ws))
     return DistanceReport(distance_squared=dist, trace_term=trace, cross_term=cross,
-                          optimal_correlation=corr, grid_meta=meta)
+                          optimal_correlation=coupling[:, 0, 0] if m == n == 1 else coupling,
+                          grid_meta=meta)
 
 
 def _run_with_crosscheck(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
@@ -363,8 +365,8 @@ def continuous_aw_multi(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
 
     At each node the matrix of scaled component inner products is reduced by
     singular value decomposition; its trace norm enters the cross term and
-    U V^H is the per-node optimal coupling factor.  A unit-multiplicity pair
-    gives the same report as :func:`continuous_aw_unit`.
+    U V^H is the per-node optimal coupling factor C of the sum of squares
+    ||V_more - C V_fewer||^2.  A unit pair gives :func:`continuous_aw_unit`'s report.
     """
     return _run_with_crosscheck(spec1, spec2, grid or QuadratureGrid())
 

@@ -125,16 +125,19 @@ def eval_rl_kernel(h: float, t, s):
     return _on_times(partial(_rl_core, h), t, s)
 
 
+def _fou_rate(lam: float, base: str, convention: str) -> float:
+    """Rate a with which lam enters the fOU kernel; rejects an unknown base or convention."""
+    if base not in ("mg", "rl"):
+        raise DomainError(f"fOU base kernel must be 'mg' or 'rl', got {base!r}")
+    if convention not in ("mild", "forward"):
+        raise DomainError(f"fOU convention must be 'mild' or 'forward', got {convention!r}")
+    return lam if convention == "forward" else -lam
+
+
 def _fou_core(h: float, lam: float, t: np.ndarray, s: np.ndarray,
               n_inner: int, base: str, convention: str) -> np.ndarray:
+    a = _fou_rate(lam, base, convention)
     base_eval = _mg_core if base == "mg" else _rl_core
-    if convention == "forward":
-        a = lam
-    elif convention == "mild":
-        a = -lam
-    else:
-        raise DomainError(f"unknown fOU sign convention {convention!r}")
-
     out = base_eval(h, t, s)
     if a == 0.0:
         return out
@@ -308,10 +311,7 @@ class FractionalOU(VolterraKernel):
 
     def __post_init__(self):
         _check_hurst(self.h)
-        if self.base not in ("mg", "rl"):
-            raise DomainError("fOU base kernel must be 'mg' or 'rl'")
-        if self.convention not in ("mild", "forward"):
-            raise DomainError("fOU convention must be 'mild' or 'forward'")
+        _fou_rate(self.lam, self.base, self.convention)
 
     @property
     def grading_hurst(self) -> float:

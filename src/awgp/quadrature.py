@@ -45,16 +45,14 @@ def grading_exponent(alpha: float, h_min: float = 0.5, cap: float = 40.0) -> flo
 class QuadratureGrid:
     """Resolution record shared by the distance and simulation code.
 
-    ``n_s`` outer (s-integral) nodes, ``n_t`` inner (t-integral) nodes per
-    s-node, and ``n_singular`` cells for Stieltjes sums against singular
-    measures.  Mesh grading follows from the kernels (``grading_exponent``).
+    ``n_s`` outer (s-integral) nodes and ``n_t`` inner (t-integral) nodes per
+    s-node.  Mesh grading follows from the kernels (``grading_exponent``).
     With ``crosscheck_rtol`` set, continuous distances are recomputed under a
     second quadrature scheme and must agree to that relative tolerance.
     """
 
     n_s: int = 256
     n_t: int = 256
-    n_singular: int = 100_000
     crosscheck_rtol: float | None = None
 
     def meta(self) -> dict:

@@ -109,6 +109,14 @@ class TestAwDiscrete:
         assert code == 2
         assert "pivot" in err
 
+    def test_non_finite_entry_exit_2(self, tmp_path, capsys):
+        path, eye = tmp_path / "nan.csv", tmp_path / "eye.csv"
+        path.write_text("nan,0\n0,1\n")
+        eye.write_text("1,0\n0,1\n")
+        code, out, err = run_cli(capsys, "aw-discrete", "--cov1", str(path), "--cov2", str(eye))
+        assert code == 2
+        assert out == "" and "finite" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "aw-discrete", "--cov1", "nope.csv", "--cov2", "nope.csv")
         assert code == 2

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from awgp.errors import ConvergenceError, DomainError, NotPositiveDefiniteError
-from awgp.gauss_aw import (CovMatrix, DistanceReport, cholesky_causal_factor, continuous_aw_fbm,
+from awgp.gauss_aw import (CovMatrix, DistanceReport, _densities, _eval_components, _nodes,
+                           _pair_gammas, _trace_term, cholesky_causal_factor, continuous_aw_fbm,
                            continuous_aw_multi, continuous_aw_unit, discrete_aw,
                            discretized_fbm_aw, fbm_cov_matrix, levy_noncanonical_check,
                            trace_bound_optimal_gamma, triangular_integral)
 from awgp.kernels import (Brownian, CallableKernel, ConstantVolatility, GaussianProcessSpec,
                           IntensityMeasure, MolchanGolosov, RiemannLiouville,
-                          cantor_martingale_spec, fbm_spec)
+                          cantor_martingale_spec, fbm_spec, fou_spec)
 from awgp.oracles import bruteforce_discrete_cross_term, get_golden, psd_feasibility_sampler
 from awgp.quadrature import QuadratureGrid
 
@@ -73,6 +74,24 @@ class TestCholesky:
             with pytest.raises(NotPositiveDefiniteError) as exc:
                 cholesky_causal_factor(a)
             assert exc.value.pivot_index == python_first_failing_pivot(a) == j
+
+    def test_first_small_pivot_named(self):
+        # both pivots after the first are at or below 1e-10; the first of them is named
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky_causal_factor(np.diag([1.0, 1e-11, 1e-13]))
+        assert exc.value.pivot_index == 1
+
+    @pytest.mark.parametrize("entries", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, -np.inf], [-np.inf, 1.0]],
+    ], ids=["nan-diag", "nan-offdiag", "inf-diag", "inf-offdiag"])
+    def test_non_finite_rejected(self, entries):
+        with pytest.raises(DomainError):
+            CovMatrix(np.array(entries))
+        with pytest.raises(DomainError):
+            discrete_aw(np.array(entries), np.eye(2))
 
     def test_degenerate_rejected_not_regularized(self):
         v = np.array([[1.0], [1.0]])
@@ -329,11 +348,13 @@ class TestStreamedTransfer:
     def test_degenerate_law_raises_like_dense(self):
         h = 1.0 - 1e-8
         times = (np.arange(64) + 0.5) / 64
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NotPositiveDefiniteError) as dense:
             discrete_aw(fbm_cov_matrix(h, times), fbm_cov_matrix(0.5, times))
         for pair in ((h, 0.5), (0.5, h)):
-            with pytest.raises(NotPositiveDefiniteError):
+            with pytest.raises(NotPositiveDefiniteError) as streamed:
                 discretized_fbm_aw(*pair, 1.0, 64)
+            # one pivot rule: both paths name the same pivot
+            assert streamed.value.pivot_index == dense.value.pivot_index
 
     def test_memory_is_linear_in_n(self):
         tracemalloc.start()
@@ -394,7 +415,63 @@ def _disjoint_window_kernels(edges):
     return out
 
 
+def _unit_report_before_shared_reduction(spec1, spec2, grid):
+    """Reference: the unit-multiplicity sum as written before every multiplicity
+    shared one reduction (shared nodes only)."""
+    (k1, meas1), (k2, meas2) = spec1.components[0], spec2.components[0]
+    gamma_s, gamma_t = _pair_gammas([k1], [k2])
+    s, ws, t_mat, w_mat = _nodes(meas1, spec1.T, grid, gamma_s, gamma_t, "midpoint")
+    v1 = _eval_components([k1], t_mat, s)
+    v2 = _eval_components([k2], t_mat, s)
+    rho1, rho2 = _densities([meas1], s), _densities([meas2], s)
+    trace = _trace_term(v1, rho1, ws, w_mat) + _trace_term(v2, rho2, ws, w_mat)
+    ip = np.einsum("ist,jst,st->sij", v1, v2, w_mat)[:, 0, 0]
+    geo = np.sqrt(rho1[0] * rho2[0])
+    corr = np.where(ip >= 0.0, 1.0, -1.0)
+    cross = float(np.sum(np.abs(ip) * geo * ws))
+    diff = v1[0] * np.sqrt(rho1[0])[:, None] - (corr * np.sqrt(rho2[0]))[:, None] * v2[0]
+    dist = float(np.sum(np.einsum("st,st,st->s", diff, diff, w_mat) * ws))
+    return dist, trace, cross, corr
+
+
+def _unit(kernel, measure=None):
+    return GaussianProcessSpec(components=[(kernel, measure or IntensityMeasure.lebesgue())],
+                               T=1.0)
+
+
 class TestContinuousMulti:
+    @pytest.mark.parametrize("pair", [
+        lambda: (fbm_spec(0.3), fbm_spec(0.8)),
+        lambda: (fbm_spec(0.7), _unit(RiemannLiouville(T=1.0, h=0.4))),
+        lambda: (fbm_spec(0.6), fou_spec(0.6, 1.5)),
+        lambda: (_unit(ConstantVolatility(T=1.0, rho=lambda s: 1.0 + 0.5 * s),
+                       IntensityMeasure.from_density(lambda s: 0.5 + 2.0 * s * s)),
+                 _unit(Brownian(T=1.0))),
+        lambda: (cantor_martingale_spec(), cantor_martingale_spec()),
+    ], ids=["fbm", "mg-rl", "fbm-fou", "cv-poly-brownian", "cantor-cantor"])
+    def test_unit_bitwise_as_before_shared_reduction(self, pair):
+        spec1, spec2 = pair()
+        grid = QuadratureGrid(n_s=64, n_t=64)
+        dist, trace, cross, corr = _unit_report_before_shared_reduction(spec1, spec2, grid)
+        for aw in (continuous_aw_unit, continuous_aw_multi):
+            rep = aw(spec1, spec2, grid)
+            assert (rep.distance_squared, rep.trace_term, rep.cross_term) == (dist, trace, cross)
+            assert np.array_equal(rep.optimal_correlation, corr)
+
+    def test_sum_of_squares_is_trace_minus_cross(self):
+        leb = IntensityMeasure.lebesgue()
+        half = IntensityMeasure.from_density(lambda s: 0.5 + 0 * s)
+        two = GaussianProcessSpec(
+            components=[(MolchanGolosov(T=1.0, h=0.6), leb), (Brownian(T=1.0), half)], T=1.0)
+        other = GaussianProcessSpec(
+            components=[(RiemannLiouville(T=1.0, h=0.7), leb),
+                        (ConstantVolatility(T=1.0, rho=lambda s: 1.0 + s), half)], T=1.0)
+        grid = QuadratureGrid(n_s=64, n_t=64)
+        for spec1, spec2 in ((two, fbm_spec(0.7)), (fbm_spec(0.7), two), (two, other)):
+            rep = continuous_aw_multi(spec1, spec2, grid)
+            assert rep.distance_squared == pytest.approx(
+                rep.trace_term - 2.0 * rep.cross_term, rel=0, abs=1e-15 * rep.trace_term)
+
     def test_reduces_to_unit(self):
         pairs = [
             (fbm_spec(0.6), fbm_spec(0.8)),

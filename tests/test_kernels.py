@@ -135,6 +135,12 @@ class TestFractionalOU:
         with pytest.raises(DomainError):
             eval_fou_kernel(0.7, 1.0, 1.0, 0.5, convention="upwind")
 
+    def test_bad_base(self):
+        with pytest.raises(DomainError):
+            eval_fou_kernel(0.7, 1.0, 1.0, 0.5, base="xyz")
+        with pytest.raises(DomainError):
+            FractionalOU(T=1.0, h=0.7, lam=1.0, base="xyz")
+
 
 def _core_points(kernel, n_s, n_t):
     """The (t, s) node set the distance core lays out for an fBM-vs-``kernel`` pair."""

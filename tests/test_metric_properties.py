@@ -10,10 +10,11 @@ formula on a refining grid must also approach the continuous fBM value.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from awgp.gauss_aw import continuous_aw_fbm, continuous_aw_unit, discretized_fbm_aw
+from awgp.gauss_aw import (continuous_aw_fbm, continuous_aw_multi, continuous_aw_unit,
+                           discretized_fbm_aw)
 from awgp.kernels import (Brownian, ConstantVolatility, FractionalOU, GaussianProcessSpec,
                           IntensityMeasure, MolchanGolosov, RiemannLiouville)
 from awgp.quadrature import QuadratureGrid
@@ -46,16 +47,18 @@ def processes(draw):
     return draw(kernels), draw(densities)
 
 
-def _spec(process, scale: float = 1.0) -> GaussianProcessSpec:
-    kernel, dens = process
-    a, b = dens if dens is not None else (1.0, 0.0)
+def _spec(*processes, scale: float = 1.0) -> GaussianProcessSpec:
+    """One component per process; every density is positive, so any order is valid."""
     c2 = scale * scale
-    measure = IntensityMeasure.from_density(_affine(c2 * a, c2 * b))
-    return GaussianProcessSpec(components=[(kernel, measure)], T=1.0)
+    components = []
+    for kernel, dens in processes:
+        a, b = dens if dens is not None else (1.0, 0.0)
+        components.append((kernel, IntensityMeasure.from_density(_affine(c2 * a, c2 * b))))
+    return GaussianProcessSpec(components=components, T=1.0)
 
 
 def _aw(x, y, scale: float = 1.0):
-    return continuous_aw_unit(_spec(x, scale), _spec(y, scale), GRID)
+    return continuous_aw_unit(_spec(x, scale=scale), _spec(y, scale=scale), GRID)
 
 
 _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -86,6 +89,28 @@ def test_homogeneous_of_degree_two(x, y, c):
     base, scaled = _aw(x, y), _aw(x, y, scale=c)
     assert abs(scaled.distance_squared - c * c * base.distance_squared) \
         <= 1e-12 * c * c * base.trace_term
+
+
+# higher multiplicity is summed as squares too, so its values are never negative
+# and a self-distance is a sum of rounding squares, far below the trace term
+@_SETTINGS
+@given(processes(), processes())
+@example((MolchanGolosov(h=0.7), None), (Brownian(), (0.5, 0.0)))
+@example((ConstantVolatility(rho=_affine(1.0, 0.0)), None),
+         (ConstantVolatility(rho=_affine(1.0, 0.0)), None))
+def test_multiplicity_two_self_distance(x, y):
+    rep = continuous_aw_multi(_spec(x, y), _spec(x, y), GRID)
+    assert 0.0 <= rep.distance_squared <= 1e-20 * rep.trace_term
+
+
+@_SETTINGS
+@given(processes(), processes(), processes(), processes())
+def test_multiplicity_two_nonnegative_and_symmetric(x, y, z, w):
+    for spec1, spec2 in ((_spec(x, y), _spec(z)), (_spec(x, y), _spec(z, w))):
+        a = continuous_aw_multi(spec1, spec2, GRID)
+        b = continuous_aw_multi(spec2, spec1, GRID)
+        assert a.distance_squared >= 0.0 and b.distance_squared >= 0.0
+        assert abs(a.distance_squared - b.distance_squared) <= 1e-12 * a.trace_term
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
