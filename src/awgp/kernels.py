@@ -78,22 +78,21 @@ def _mg_const(h: float) -> float:
 
 def _mg_core(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Molchan-Golosov kernel on flat arrays; no validation."""
-    out = np.zeros(t.shape)
-    on = (s <= t) & (s > 0.0)
-    if not np.any(on):
+    d = t - s
+    if not (t.size and d.min() >= 0.0 and s.min() > 0.0):
+        # points off the support 0 < s <= t, or no points: zeros there, the rest evaluated
+        out = np.zeros(t.shape)
+        on = (s <= t) & (s > 0.0)
+        if np.any(on):
+            out[on] = _mg_core(h, t[on], s[on])
         return out
-    tv, sv = t[on], s[on]
-    z = 1.0 - tv / sv
-    f = np.atleast_1d(hyp2f1(h - 0.5, 0.5 - h, h + 0.5, z))
+    f = np.atleast_1d(hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1.0 - t / s))
     expo = h - 0.5
-    power = np.zeros_like(tv)
-    off = tv > sv
-    power[off] = (tv[off] - sv[off]) ** expo
-    if expo == 0.0:
-        power[~off] = 1.0
-    # divergent diagonal (H < 1/2) stays at 0 by convention; H > 1/2 is 0 naturally
-    out[on] = f * power * _mg_const(h)
-    return out
+    with np.errstate(divide="ignore"):
+        power = d ** expo  # 0 ** 0 = 1 on the diagonal at H = 1/2
+    if expo < 0.0 and d.min() == 0.0:
+        power[d == 0.0] = 0.0  # the divergent diagonal stays at 0 by convention
+    return f * power * _mg_const(h)
 
 
 def eval_mg_kernel(h: float, t, s):
@@ -125,8 +124,12 @@ def eval_rl_kernel(h: float, t, s):
     return _on_times(partial(_rl_core, h), t, s)
 
 
-def _fou_rate(lam: float, base: str, convention: str) -> float:
-    """Rate a with which lam enters the fOU kernel; rejects an unknown base or convention."""
+def _fou_rate(lam: float, base: str, convention: str, n_inner: int) -> float:
+    """Rate a with which lam enters the fOU kernel; rejects bad lam, n_inner, base or convention."""
+    if not math.isfinite(lam):
+        raise DomainError(f"fOU rate lam must be finite, got {lam}")
+    if not (isinstance(n_inner, (int, np.integer)) and n_inner >= 8 and n_inner % 4 == 0):
+        raise DomainError(f"fOU node count must be a multiple of 4 and >= 8, got {n_inner!r}")
     if base not in ("mg", "rl"):
         raise DomainError(f"fOU base kernel must be 'mg' or 'rl', got {base!r}")
     if convention not in ("mild", "forward"):
@@ -136,7 +139,7 @@ def _fou_rate(lam: float, base: str, convention: str) -> float:
 
 def _fou_core(h: float, lam: float, t: np.ndarray, s: np.ndarray,
               n_inner: int, base: str, convention: str) -> np.ndarray:
-    a = _fou_rate(lam, base, convention)
+    a = _fou_rate(lam, base, convention, n_inner)
     base_eval = _mg_core if base == "mg" else _rl_core
     out = base_eval(h, t, s)
     if a == 0.0:
@@ -173,9 +176,9 @@ def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int,
     lone = ~follows & ~np.concatenate([same, [False]])
     lo = np.where(chained, t_prev, s)
     rules = [
-        (lone, graded_gauss(0.0, 1.0, max(n_inner // 4, 2), order=4,
+        (lone, graded_gauss(0.0, 1.0, n_inner // 4, order=4,
                             gamma=3.0 / (h + 0.5), cluster="left")),
-        (~lone & ~chained, graded_gauss(0.0, 1.0, max(n_inner // 2, 2), order=4,
+        (~lone & ~chained, graded_gauss(0.0, 1.0, n_inner // 2, order=4,
                                         gamma=6.0 / (h + 0.5), cluster="left")),
         (chained, graded_gauss(0.0, 1.0, 1, order=4, gamma=1.0)),
     ]
@@ -311,7 +314,7 @@ class FractionalOU(VolterraKernel):
 
     def __post_init__(self):
         _check_hurst(self.h)
-        _fou_rate(self.lam, self.base, self.convention)
+        _fou_rate(self.lam, self.base, self.convention, self.n_inner)
 
     @property
     def grading_hurst(self) -> float:

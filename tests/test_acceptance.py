@@ -88,7 +88,7 @@ def test_criterion_04_transfer_principle_convergence():
     t0 = time.time()
     cont = continuous_aw_fbm(0.5, 0.75, 1.0).distance_squared
     gaps = []
-    for n in (64, 128, 256, 512):
+    for n in (64, 128, 256, 512, 1024, 2048):
         disc = discretized_fbm_aw(0.5, 0.75, 1.0, n).distance_squared
         gaps.append(abs(disc - cont) / cont)
     monotone = bool(np.all(np.diff(gaps) < 0.0))

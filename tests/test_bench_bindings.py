@@ -2,12 +2,18 @@
 
 ``bench/tracing.py`` wraps awgp functions by looking each one up with
 ``vars(owner)[attr]``; a name dropped from a module would break the traced
-benchmark run.  This test loads the tracer as it is and checks every binding.
+benchmark run.  The first test loads the tracer as it is and checks every
+binding; the second keeps the hyp2f1 counts it reads meaning what they did.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+from awgp import kernels
+from awgp.gauss_aw import _nodes, _pair_gammas
+from awgp.quadrature import QuadratureGrid
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -23,3 +29,21 @@ def test_every_traced_name_is_defined():
     finally:
         del sys.modules[spec.name]
     assert not missing
+
+
+def test_one_hyp2f1_call_per_mg_evaluation(monkeypatch):
+    # the tracer counts specfun.hyp2f1 calls and lanes at kernels.hyp2f1: one MG evaluation
+    # on the grid-256 distance-core node set must stay one call of 65536 lanes
+    real, lanes = kernels.hyp2f1, []
+
+    def spy(a, b, c, z, *args, **kwargs):
+        lanes.append(np.size(z))
+        return real(a, b, c, z, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "hyp2f1", spy)
+    mg = kernels.MolchanGolosov
+    gamma_s, gamma_t = _pair_gammas([mg(h=0.3)], [mg(h=0.7)])
+    s, _, t_mat, _ = _nodes(kernels.IntensityMeasure.lebesgue(), 1.0, QuadratureGrid(256, 256),
+                            gamma_s, gamma_t, "midpoint")
+    kernels.eval_mg_kernel(0.3, t_mat, s[:, None])
+    assert lanes == [65536]

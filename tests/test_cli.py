@@ -268,6 +268,13 @@ class TestSimulate:
         records = json.loads(out)
         assert len(records) == 1 and records[0]["mean"] >= 0.0
 
+    @pytest.mark.parametrize("fou", [{"lam": float("nan")}, {"lam": 1.0, "n_inner": 10}])
+    def test_bad_fou_kernel_exit_2(self, tmp_path, capsys, fou):
+        sc = _scenario(tmp_path, kernel2={"kind": "fou", **fou}, M=16, n_paths=60,
+                       controls=["synchronous"])
+        code, _, _ = run_cli(capsys, "simulate", "--scenario", sc)
+        assert code == 2
+
 
 class TestCheckAssumptions:
     def test_reports_both_processes(self, tmp_path, capsys):

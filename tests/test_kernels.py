@@ -141,6 +141,22 @@ class TestFractionalOU:
         with pytest.raises(DomainError):
             FractionalOU(T=1.0, h=0.7, lam=1.0, base="xyz")
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate(self, lam):
+        with pytest.raises(DomainError):
+            FractionalOU(T=1.0, h=0.7, lam=lam)
+        with pytest.raises(DomainError):
+            eval_fou_kernel(0.7, lam, 1.0, 0.5)
+
+    @pytest.mark.parametrize("nodes", [0, -3, 2.5, 4, 10])
+    def test_node_count_not_whole_panels(self, nodes):
+        with pytest.raises(DomainError):
+            FractionalOU(T=1.0, h=0.7, lam=1.0, n_inner=nodes)
+        with pytest.raises(DomainError):
+            eval_fou_kernel(0.7, 1.0, 1.0, 0.5, quad_nodes=nodes)
+        assert eval_fou_kernel(0.7, 1.0, 1.0, 0.5, quad_nodes=8) == FractionalOU(
+            T=1.0, h=0.7, lam=1.0, n_inner=np.int64(8)).eval(1.0, 0.5)
+
 
 def _core_points(kernel, n_s, n_t):
     """The (t, s) node set the distance core lays out for an fBM-vs-``kernel`` pair."""

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from awgp.errors import ConvergenceError, DomainError
 from awgp.oracles import get_golden
-from awgp.specfun import gamma_fn, hyp2f1, hyp2f1_series
+from awgp.specfun import _Z_EDGES, gamma_fn, hyp2f1, hyp2f1_series
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 class TestGamma:
@@ -129,6 +131,35 @@ class TestHyp2f1:
             for i in perm[:40]:
                 ref = float(mpmath.hyp2f1(-0.2, 0.2, 0.8, zs[i]))
                 assert abs(vals[i] - ref) <= 5e-15 * abs(ref)
+
+    def test_mpmath_documented_sample_and_class_edges(self):
+        # the README sample, plus z = -1 (the route switch) and every class edge, each +-1 ulp
+        edges = np.r_[_Z_EDGES, 1.0]
+        zs = -np.r_[np.geomspace(1e-6, 1e7, 400), edges, np.nextafter(edges, 0.0),
+                    np.nextafter(edges, np.inf)]
+        with mp.workdps(30):
+            for h in [0.05, 0.3, 0.45, 0.55, 0.7, 0.95]:
+                a, b, c = h - 0.5, 0.5 - h, h + 0.5
+                ref = np.array([float(mp.hyp2f1(a, b, c, z)) for z in zs])
+                assert np.max(np.abs(hyp2f1(a, b, c, zs) - ref) / np.abs(ref)) <= 3.5e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.floats(0.02, 0.98), data=st.data(),
+           logs=st.lists(st.floats(-7.0, 8.0), min_size=1, max_size=100))
+    def test_lane_is_a_function_of_its_own_z(self, h, data, logs):
+        # bitwise: each lane of a batch equals a single-lane call, and a permuted batch
+        # returns the permuted values; z = -1 puts the highest degree in every batch
+        a, b, c = h - 0.5, 0.5 - h, h + 0.5
+        zs = np.r_[-(10.0 ** np.array(logs)), -1.0, 0.0]
+        vals = hyp2f1(a, b, c, zs)
+        assert np.array_equal(vals, [hyp2f1(a, b, c, z) for z in zs])
+        perm = np.array(data.draw(st.permutations(range(zs.size))))
+        assert np.array_equal(hyp2f1(a, b, c, zs[perm]), vals[perm])
+
+    def test_integer_a_minus_b_takes_pfaff_past_the_switch(self):
+        # F(1, 1; 2; z) = log(1 - z) / (-z); the 1/z route is singular at integer a - b
+        zs = -np.geomspace(1e-3, 250.0, 60)
+        assert np.allclose(hyp2f1(1.0, 1.0, 2.0, zs), np.log1p(-zs) / -zs, rtol=1e-14, atol=0)
 
     def test_series_budget_exhausted_near_one(self):
         with pytest.raises(ConvergenceError):
