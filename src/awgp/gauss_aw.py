@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError
 from .kernels import (Brownian, CallableKernel, GaussianProcessSpec, IntensityMeasure,
-                      VolterraKernel, _check_hurst, _same_kernels, covariance, fbm_spec)
+                      VolterraKernel, _check_hurst, _mg_at, _same_kernels, covariance, fbm_spec)
 from .quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent
 
 __all__ = [
@@ -110,7 +110,9 @@ class DistanceReport:
     ``optimal_correlation`` is a per-step/per-node sign array in the unit
     multiplicity and discrete cases, or a stack of per-node coupling factor
     matrices U V^H, shape (n_s, m, n), in the higher-multiplicity case.
-    ``distance_squared`` is a sum of squares, so it is never negative.
+    ``distance_squared`` is a sum of squares, so it is never negative, except from
+    :func:`continuous_aw_fbm`, trace - 2 cross, which can miss 0 by rounding (about
+    1e-16 of the trace term) when |H1 - H2| is below about 1e-8.
     """
 
     distance_squared: float
@@ -336,17 +338,16 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
                           grid_meta=meta)
 
 
-def _run_with_crosscheck(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
-                         grid: QuadratureGrid) -> DistanceReport:
-    report = _distance_core(spec1, spec2, grid, "midpoint")
-    if grid.crosscheck_rtol is not None:
-        alt = _distance_core(spec1, spec2, grid, "gauss")
+def _run_with_crosscheck(rule, rtol: float | None) -> DistanceReport:
+    """``rule(False)``'s report; with ``rtol`` set, checked against ``rule(True)``'s distance."""
+    report = rule(False)
+    if rtol is not None:
+        alt = rule(True)
         scale = max(abs(report.distance_squared), abs(report.trace_term), 1e-30)
         rel = abs(alt.distance_squared - report.distance_squared) / scale
-        if rel > grid.crosscheck_rtol:
+        if rel > rtol:
             raise ConvergenceError(
-                f"two-scheme quadrature disagreement {rel:.3e} exceeds "
-                f"tolerance {grid.crosscheck_rtol:.3e}")
+                f"two-scheme quadrature disagreement {rel:.3e} exceeds tolerance {rtol:.3e}")
         report.grid_meta["crosscheck_rel"] = rel
     return report
 
@@ -356,7 +357,7 @@ def continuous_aw_unit(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     """Squared adapted Wasserstein distance, unit multiplicity canonical specs."""
     if spec1.multiplicity != 1 or spec2.multiplicity != 1:
         raise DomainError("continuous_aw_unit requires unit multiplicity")
-    return _run_with_crosscheck(spec1, spec2, grid or QuadratureGrid())
+    return continuous_aw_multi(spec1, spec2, grid)
 
 
 def continuous_aw_multi(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
@@ -368,19 +369,56 @@ def continuous_aw_multi(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     U V^H is the per-node optimal coupling factor C of the sum of squares
     ||V_more - C V_fewer||^2.  A unit pair gives :func:`continuous_aw_unit`'s report.
     """
-    return _run_with_crosscheck(spec1, spec2, grid or QuadratureGrid())
+    grid = grid or QuadratureGrid()
+    return _run_with_crosscheck(lambda alt: _distance_core(
+        spec1, spec2, grid, "gauss" if alt else "midpoint"), grid.crosscheck_rtol)
+
+
+def _fbm_cross(h1: float, h2: float, n: int) -> float:
+    """c12 = int_0^1 k1(1, s) k2(1, s) ds on n // 16 Gauss-Legendre panels of order 16, graded
+    by 1/4 toward both ends; an end's innermost panel [0, eps] takes eps v^p, p = q/(beta+1),
+    for the worst power x^beta there (now v^(q-1)), q = 4 unless p would pass 12, down to
+    q = 1: a steeper p pushes the next powers beyond the panel's degree.  The s -> 1 half
+    is built as offsets d = 1 - s."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    u, wu = [], []  # distances to the end and weights, the s -> 0 end first
+    for beta, m in ((-max(abs(h1 + h2 - 1.0), abs(h1 - h2)), n // 16 - n // 32),
+                    (h1 + h2 - 1.0, n // 32)):
+        # past 60 levels the ratio widens, and the cap on p keeps eps v^p a normal float
+        edges = 0.5 * 0.25 ** (np.arange(m) * min(1.0, 60.0 / m))
+        q = min(4, max(1, int(12.0 * (beta + 1.0))))
+        lo, span, p = edges[1:, None], -np.diff(edges)[:, None], min(q / (beta + 1.0), 100.0)
+        u.append(np.r_[(lo + span * x).ravel(), edges[-1] * x ** p])
+        wu.append(np.r_[(span * w).ravel(), edges[-1] * p * x ** (p - 1.0) * w])
+    s, d = np.r_[u[0], 1.0 - u[1]], np.r_[1.0 - u[0], u[1]]
+    return float(np.r_[wu[0], wu[1]] @ (_mg_at(h1, -d / s, d) * _mg_at(h2, -d / s, d)))
 
 
 def continuous_aw_fbm(h1: float, h2: float, T: float = 1.0,
                       grid: QuadratureGrid | None = None) -> DistanceReport:
     """Squared adapted Wasserstein distance between fractional Brownian motions.
 
-    :func:`continuous_aw_unit` on the two Molchan-Golosov specs, with the
-    Hurst parameters and the horizon added to the grid metadata.
+    Molchan-Golosov kernels are positive (optimal sign +1) and homogeneous, so the
+    t-integral is exact: AW2 = A1 + A2 - 2 c12 T^(H1+H2+1)/(H1+H2+1), Ai = T^(2Hi+1)/(2Hi+1),
+    c12 = int_0^1 k1(1, s) k2(1, s) ds (1 at H1 = H2, where AW2 is exactly 0) on
+    :func:`_fbm_cross`'s rule of ``grid.n_s`` nodes (a multiple of 16, at least 32).
+    ``n_t`` does not apply (None in ``grid_meta``); ``crosscheck_rtol`` compares with a
+    rule of half the nodes.  Other specs go through :func:`continuous_aw_unit`'s 2-D core.
     """
-    report = continuous_aw_unit(fbm_spec(h1, T), fbm_spec(h2, T), grid)
-    report.grid_meta.update({"h1": h1, "h2": h2, "T": T})
-    return report
+    fbm_spec(h1, T), fbm_spec(h2, T)  # validates the Hurst parameters and the horizon
+    grid = grid or QuadratureGrid()
+    n = 16 * max(grid.n_s // 16, 2)
+    a, b, c = (T ** (e + 1.0) / (e + 1.0) for e in (2.0 * h1, 2.0 * h2, h1 + h2))
+
+    def report(nodes: int) -> DistanceReport:
+        cross = c * (1.0 if h1 == h2 else _fbm_cross(h1, h2, nodes))
+        return DistanceReport(distance_squared=a + b - 2.0 * cross, trace_term=a + b,
+                              cross_term=cross, optimal_correlation=np.ones(nodes),
+                              grid_meta={"n_s": nodes, "n_t": None, "scheme": "self_similar",
+                                         "h1": h1, "h2": h2, "T": T})
+    return _run_with_crosscheck(lambda alt: report(max(n // 2, 32) if alt else n),
+                                grid.crosscheck_rtol)
 
 
 def triangular_integral(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,

@@ -86,7 +86,14 @@ def _mg_core(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         if np.any(on):
             out[on] = _mg_core(h, t[on], s[on])
         return out
-    f = np.atleast_1d(hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1.0 - t / s))
+    return _mg_at(h, 1.0 - t / s, d)
+
+
+def _mg_at(h: float, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Molchan-Golosov kernel from z = 1 - t/s and d = t - s >= 0 (or z = -d/s, exact where
+    t would round to s) on flat arrays; no validation."""
+    f = np.atleast_1d(hyp2f1(h - 0.5, 0.5 - h, h + 0.5, z))
+    del z  # the caller holds no other reference: free it before the power's temporaries
     expo = h - 0.5
     with np.errstate(divide="ignore"):
         power = d ** expo  # 0 ** 0 = 1 on the diagonal at H = 1/2

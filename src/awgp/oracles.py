@@ -40,6 +40,7 @@ __all__ = [
     "get_golden",
     "regenerate_goldens",
     "default_registry_path",
+    "fbm_aw_reference",
 ]
 
 
@@ -266,16 +267,28 @@ def get_golden(name: str, path=None):
     return reg[name]["value"]
 
 
-def _mp_mg_kernel(h: float, t: float, s: float, dps: int = 40) -> float:
-    """Multiprecision Molchan-Golosov kernel (direct transformed series)."""
+def _mp_mg_kernel(hh, s, d):
+    """Molchan-Golosov kernel at (s + d, s) in the working precision, from the offset d."""
+    half = mp.mpf(1) / 2
+    const = mp.sqrt(2 * hh * mp.gamma(3 * half - hh) / (mp.gamma(hh + half) * mp.gamma(2 - 2*hh)))
+    return const * d ** (hh - half) * mp.hyp2f1(hh - half, half - hh, hh + half, -d / s)
+
+
+def fbm_aw_reference(h1: float, h2: float, T: float = 1.0, dps: int = 20) -> float:
+    """AW2 between fBMs by the self-similar reduction, c12 by mpmath tanh-sinh on each half
+    of (0, 1); each half substitutes x^10 / 2 for the distance to its end, which bounds every
+    endpoint power for H in [0.05, 0.95], and evaluates the kernel from that offset."""
     with mp.workdps(dps):
-        hh = mp.mpf(repr(h))
-        const = mp.sqrt(2 * hh * mp.gamma(mp.mpf(3) / 2 - hh)
-                        / (mp.gamma(hh + mp.mpf(1) / 2) * mp.gamma(2 - 2 * hh)))
-        val = const * (mp.mpf(repr(t)) - mp.mpf(repr(s))) ** (hh - mp.mpf(1) / 2) \
-            * mp.hyp2f1(hh - mp.mpf(1) / 2, mp.mpf(1) / 2 - hh, hh + mp.mpf(1) / 2,
-                        1 - mp.mpf(repr(t)) / mp.mpf(repr(s)))
-        return float(val)
+        a, b, tt = (mp.mpf(repr(float(v))) for v in (h1, h2, T))
+
+        def f(x, at_one: bool):
+            e = x ** 10 / 2
+            s, d = (1 - e, e) if at_one else (e, 1 - e)
+            return 5 * x ** 9 * _mp_mg_kernel(a, s, d) * _mp_mg_kernel(b, s, d)
+
+        c12 = sum(mp.quad(lambda x: f(x, at_one), [0, 1]) for at_one in (False, True))
+        return float(sum(tt ** (2 * h + 1) / (2 * h + 1) for h in (a, b))
+                     - 2 * c12 * tt ** (a + b + 1) / (a + b + 1))
 
 
 def regenerate_goldens(path) -> dict:
@@ -295,8 +308,10 @@ def regenerate_goldens(path) -> dict:
         put("hyp2f1_1_1_2_m1", float(mp.log(2)), "analytic_identity",
             {"identity": "F(1,1,2,z) = -log(1-z)/z at z = -1"})
 
-    put("mg_kernel_h070_t100_s050", _mp_mg_kernel(0.7, 1.0, 0.5),
-        "mpmath_direct_series", {"dps": 40, "h": 0.7, "t": 1.0, "s": 0.5})
+    with mp.workdps(40):  # t = 1, s = 0.5
+        mg = float(_mp_mg_kernel(mp.mpf("0.7"), mp.mpf(0.5), mp.mpf(0.5)))
+    put("mg_kernel_h070_t100_s050", mg, "mpmath_direct_series",
+        {"dps": 40, "h": 0.7, "t": 1.0, "s": 0.5})
 
     from scipy.special import gamma as scipy_gamma
     put("rl_kernel_h075_t100_s050", float(0.5 ** 0.25 / scipy_gamma(1.25)),
@@ -320,15 +335,15 @@ def regenerate_goldens(path) -> dict:
             cholesky_causal_factor(np.eye(2)))),
         "bruteforce_discrete_cross_term", {"sigma1": [[1, 1], [1, 2]], "sigma2": "I2"})
 
-    # fBM(0.5) vs fBM(0.75): freeze after oracle agreement (discrete transfer)
+    # fBM(0.5) vs fBM(0.75), frozen after the 1-D rule and the discrete transfer agree with it
     from .gauss_aw import continuous_aw_fbm, discretized_fbm_aw
-    cont = continuous_aw_fbm(0.5, 0.75, 1.0, QuadratureGrid(n_s=512, n_t=512))
-    disc = discretized_fbm_aw(0.5, 0.75, 1.0, 512)
-    gap = abs(cont.distance_squared - disc.distance_squared) / cont.distance_squared
-    if gap > 0.01:
-        raise DomainError(f"transfer-principle oracle disagreement {gap:.3%} during regeneration")
-    put("aw2_fbm_h050_h075_T1", cont.distance_squared,
-        "transfer_principle_discrete_512", {"rel_gap_at_512": gap, "grid": [512, 512]})
+    ref = fbm_aw_reference(0.5, 0.75, 1.0)
+    gaps = {f"rel_gap_{k}_512": abs(rep.distance_squared - ref) / ref for k, rep in (
+        ("rule", continuous_aw_fbm(0.5, 0.75, 1.0, QuadratureGrid(n_s=512))),
+        ("discrete", discretized_fbm_aw(0.5, 0.75, 1.0, 512)))}
+    if gaps["rel_gap_rule_512"] > 1e-10 or gaps["rel_gap_discrete_512"] > 0.01:
+        raise DomainError(f"fBM distance oracle disagreement {gaps} during regeneration")
+    put("aw2_fbm_h050_h075_T1", ref, "mpmath_self_similar_tanh_sinh", {"dps": 20, **gaps})
 
     cov_val = covariance(fbm_spec(0.75).components[0][0], IntensityMeasure.lebesgue(),
                          1.0, 0.5, QuadratureGrid(n_t=1024))

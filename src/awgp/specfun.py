@@ -79,6 +79,12 @@ def _is_nonpositive_int(x: float, tol: float = 0.0) -> bool:
     return r <= 0 and abs(x - r) <= tol
 
 
+def _check_parameters(a: float, b: float, c: float) -> None:
+    if not all(math.isfinite(p) for p in (a, b, c)) or _is_nonpositive_int(c):
+        raise DomainError("hyp2f1 parameters must be finite and c not zero or a negative "
+                          f"integer, got a={a}, b={b}, c={c}")
+
+
 def _terminating(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray | None:
     """Exact finite sum when a or b is a non-positive integer (any z), else None."""
     degrees = [-round(p) for p in (a, b) if _is_nonpositive_int(p)]
@@ -101,8 +107,7 @@ def hyp2f1_series(a: float, b: float, c: float, w, max_terms: int = 10_000):
     lane's term was below 1e-14 of its partial sum at two successive checks,
     four terms apart, so even/odd cancellation cannot stop a lane early.
     """
-    if _is_nonpositive_int(c):
-        raise DomainError("hyp2f1 parameter c must not be zero or a negative integer")
+    _check_parameters(a, b, c)
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     if not np.all(np.abs(w_arr) < 1.0):
         raise DomainError("hyp2f1_series requires finite |w| < 1")
@@ -186,8 +191,7 @@ def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
     max_terms : int
         Term budget per series; a lane whose degree needs more raises ConvergenceError.
     """
-    if _is_nonpositive_int(c):
-        raise DomainError("hyp2f1 parameter c must not be zero or a negative integer")
+    _check_parameters(a, b, c)
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if not (np.all(z_arr <= 0.0) and np.isfinite(z_arr).all()):
         raise DomainError("hyp2f1 requires finite z <= 0")

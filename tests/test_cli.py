@@ -58,6 +58,17 @@ class TestAwFbm:
         first = lines[1].split(",")
         assert float(first[0]) == 0.5 and float(first[2]) == 0.0
 
+    def test_default_sweep_is_symmetric_with_zero_diagonal(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "aw-fbm", "--sweep", "--output", str(out_path))
+        assert code == 0
+        lines = out_path.read_text().strip().splitlines()
+        assert lines[0] == "H1,H2,aw_squared" and len(lines) == 82
+        table = {(h1, h2): float(v) for h1, h2, v in (line.split(",") for line in lines[1:])}
+        for (h1, h2), v in table.items():
+            assert v == table[h2, h1]
+            assert v == 0.0 if h1 == h2 else v > 0.0
+
     def test_idempotent_output(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -226,9 +226,43 @@ class TestContinuousFbm:
         assert a.distance_squared == pytest.approx(b.distance_squared, rel=1e-12)
 
     def test_agrees_with_unit_engine(self):
-        a = continuous_aw_fbm(0.5, 0.75, 1.0)
-        b = continuous_aw_unit(fbm_spec(0.5), fbm_spec(0.75))
-        assert a.distance_squared == pytest.approx(b.distance_squared, rel=1e-10)
+        # the 2-D core's own error at grid 512 is 2.5e-6 and 5.7e-5 here; 1e-4 is the
+        # golden's tolerance
+        for h1, h2 in [(0.5, 0.75), (0.6, 0.75)]:
+            a = continuous_aw_fbm(h1, h2, 1.0)
+            b = continuous_aw_unit(fbm_spec(h1), fbm_spec(h2), QuadratureGrid(n_s=512, n_t=512))
+            assert a.distance_squared == pytest.approx(b.distance_squared, rel=1e-4)
+
+    def test_label_swap_is_bitwise(self):
+        for h1, h2 in [(0.55, 0.8), (0.05, 0.95), (0.3, 0.31)]:
+            a, b = continuous_aw_fbm(h1, h2, 1.7), continuous_aw_fbm(h2, h1, 1.7)
+            assert (a.distance_squared, a.trace_term, a.cross_term) == \
+                (b.distance_squared, b.trace_term, b.cross_term)
+            assert np.array_equal(a.optimal_correlation, b.optimal_correlation)
+
+    @pytest.mark.parametrize("n_s,nodes", [(256, 256), (100, 96), (8, 32)])
+    def test_one_dimensional_rule(self, n_s, nodes):
+        rep = continuous_aw_fbm(0.3, 0.7, 1.0, QuadratureGrid(n_s=n_s, n_t=7))
+        assert rep.grid_meta["n_s"] == nodes and rep.grid_meta["n_t"] is None
+        assert np.array_equal(rep.optimal_correlation, np.ones(nodes))
+
+    @pytest.mark.parametrize("h1,h2,n_s", [(0.001, 0.999, 256), (0.002, 0.003, 256),
+                                           (0.3, 0.7, 20000)])
+    def test_extreme_inputs_stay_finite(self, h1, h2, n_s):
+        # a steep end power or a deep grading must not underflow the innermost nodes to 0
+        rep = continuous_aw_fbm(h1, h2, 1.0, QuadratureGrid(n_s=n_s))
+        assert np.isfinite(rep.cross_term) and 0.0 < rep.distance_squared < rep.trace_term
+
+    def test_equal_hurst_is_exact(self):
+        rep = continuous_aw_fbm(0.3, 0.3, 2.0)
+        assert rep.cross_term == 2.0 ** 1.6 / 1.6
+        assert rep.trace_term == 2.0 * rep.cross_term and rep.distance_squared == 0.0
+
+    def test_crosscheck(self):
+        rep = continuous_aw_fbm(0.3, 0.7, 1.0, QuadratureGrid(crosscheck_rtol=1e-10))
+        assert 0.0 <= rep.grid_meta["crosscheck_rel"] <= 1e-10
+        with pytest.raises(ConvergenceError):
+            continuous_aw_fbm(0.15, 0.25, 1.0, QuadratureGrid(n_s=64, crosscheck_rtol=1e-10))
 
     def test_report_identity(self):
         rep = continuous_aw_fbm(0.6, 0.8, 1.0, QuadratureGrid(n_s=96, n_t=96))

@@ -11,13 +11,13 @@ from awgp.errors import DomainError, MeasureOrderingError, SingularityError
 from awgp.kernels import (Brownian, CallableKernel, ConstantVolatility, FractionalOU,
                           GaussianProcessSpec,
                           IntensityMeasure, MolchanGolosov, RiemannLiouville, Tabulated,
-                          _same_kernels, cantor_function, covariance, eval_fou_kernel,
+                          _mg_const, _same_kernels, cantor_function, covariance, eval_fou_kernel,
                           eval_mg_kernel, eval_rl_kernel, load_tabulated_csv)
 from awgp.fsde import _kernel_matrix
 from awgp.gauss_aw import _nodes, _pair_gammas
 from awgp.oracles import get_golden
 from awgp.quadrature import QuadratureGrid, graded_gauss, graded_midpoint
-from awgp.specfun import gamma_fn
+from awgp.specfun import gamma_fn, hyp2f1
 
 
 class TestMolchanGolosov:
@@ -51,6 +51,20 @@ class TestMolchanGolosov:
     def test_divergent_diagonal_convention(self):
         # H < 1/2 diverges at t = s; the pointwise value is pinned to 0
         assert eval_mg_kernel(0.3, 0.5, 0.5) == 0.0
+
+    def test_values_bitwise_those_of_the_direct_formula(self):
+        # the kernel as it was written before the offset-form helper: any change
+        # of the arithmetic order would show here
+        rng = np.random.default_rng(11)
+        for h in np.r_[rng.uniform(0.01, 0.99, 8), 0.5]:
+            s = rng.uniform(1e-6, 2.0, 3000)
+            t = s + rng.uniform(0.0, 2.0, 3000) * rng.choice([0.0, 1e-12, 1.0], 3000)
+            with np.errstate(divide="ignore"):
+                power = (t - s) ** (h - 0.5)
+            if h < 0.5:
+                power[t == s] = 0.0
+            expect = hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1.0 - t / s) * power * _mg_const(h)
+            assert np.array_equal(eval_mg_kernel(h, t, s), expect)
 
 
 class TestTimeValidation:

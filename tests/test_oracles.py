@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from awgp.errors import DomainError
-from awgp.gauss_aw import cholesky_causal_factor
+from awgp.gauss_aw import _fbm_cross, cholesky_causal_factor, continuous_aw_fbm
 from awgp.kernels import IntensityMeasure, MolchanGolosov, covariance, fbm_spec
 from awgp.oracles import (OracleVerdict, bruteforce_discrete_cross_term, cholesky_marginal_paths,
-                          get_golden, load_goldens, mc_formula_check,
+                          fbm_aw_reference, get_golden, load_goldens, mc_formula_check,
                           pointwise_optimal_correlation, psd_feasibility_sampler,
                           quadrature_crosscheck, regenerate_goldens)
 from awgp.quadrature import QuadratureGrid, graded_midpoint
@@ -183,6 +183,41 @@ class TestCholeskyMarginals:
             var = paths[:, i].var(ddof=1)
             se = var * np.sqrt(2.0 / (n - 1))
             assert abs(var - target) < 4.0 * se
+
+
+class TestFbmReference:
+    """The self-similar fBM route against the multiprecision reduction."""
+
+    @pytest.mark.parametrize("h1,h2", [(0.3, 0.7), (0.15, 0.85), (0.5, 0.75),
+                                       (0.05, 0.95), (0.05, 0.55), (0.45, 0.95)])
+    def test_route_matches(self, h1, h2):
+        rep = continuous_aw_fbm(h1, h2, 1.0)
+        assert abs(rep.distance_squared - fbm_aw_reference(h1, h2, 1.0)) <= 1e-8 * rep.trace_term
+
+    def test_horizon_scaling(self):
+        rep = continuous_aw_fbm(0.3, 0.7, 2.5)
+        assert abs(rep.distance_squared - fbm_aw_reference(0.3, 0.7, 2.5)) <= 1e-8 * rep.trace_term
+
+    @pytest.mark.parametrize("h", np.round(np.arange(0.05, 0.96, 0.05), 2))
+    def test_equal_hurst_cross_integral_is_one(self, h):
+        # c_HH = Var B_H(1) = 1 exactly, so the reference distance vanishes; the
+        # route's rule, which the route skips at h1 == h2, sums it to 1 as well
+        assert abs(fbm_aw_reference(h, h)) <= 1e-14
+        assert _fbm_cross(h, h, 256) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("h1,h2", [(0.1, 0.45), (0.55, 0.9)])
+    def test_error_falls_with_nodes(self, h1, h2):
+        # pairs with an end power near another (H near 1/2), whose rule still converges past
+        # 64 nodes; the three pairs above are at rounding there already
+        ref = fbm_aw_reference(h1, h2)
+        errs = [abs(continuous_aw_fbm(h1, h2, 1.0, QuadratureGrid(n_s=n)).distance_squared - ref)
+                for n in (64, 128, 256)]
+        assert errs[0] > errs[1] > errs[2] and errs[2] <= 1e-13
+
+    def test_close_hurst_distance_nonnegative(self):
+        for h in np.arange(0.05, 0.951, 0.05):
+            for dh in (1e-2, 1e-4, 1e-6):
+                assert continuous_aw_fbm(h - dh, h, 1.0).distance_squared >= 0.0
 
 
 class TestGoldenRegistry:

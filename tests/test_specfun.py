@@ -182,6 +182,22 @@ class TestHyp2f1:
         with pytest.raises(DomainError):
             hyp2f1(0.2, -0.2, -1.0, -0.5)
 
+    def test_rejects_nan_a(self):
+        with pytest.raises(DomainError, match="finite"):
+            hyp2f1(np.nan, 0.2, 1.2, -0.5)
+
+    def test_rejects_minus_infinite_c(self):
+        with pytest.raises(DomainError, match="finite"):
+            hyp2f1(0.2, 0.3, -np.inf, -0.5)
+
+    def test_rejects_infinite_c(self):
+        with pytest.raises(DomainError, match="finite"):
+            hyp2f1(0.2, 0.3, np.inf, -0.5)
+
+    def test_series_rejects_nan_a(self):
+        with pytest.raises(DomainError, match="finite"):
+            hyp2f1_series(np.nan, 0.2, 1.2, 0.5)
+
     def test_nonconvergence_reported(self):
         # integer a - b disables the 1/z route; a tiny term budget must fail loudly
         with pytest.raises(ConvergenceError):
