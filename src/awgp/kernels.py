@@ -167,26 +167,20 @@ def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int,
     [t_{j-1}, t_j], that panel on a 4-node Gauss-Legendre rule.  A point whose
     panel lies closer to s than its own length, where the integrand's r = s
     singularity is still near, is integrated directly over [s, t] on nodes
-    graded toward r = s and starts a new chain.  A chain start's error is
-    carried to every later point of the chain, so it gets 2 * n_inner nodes
-    with the grading steepened to the 4-node rule's order; a point alone on
-    its s keeps the n_inner-node rule, with which the golden registry and the
-    covariance-based sign probe were computed.  Only differences of t enter an
-    exponential, so a large |a| T cannot overflow a mild (a < 0) kernel.
+    graded toward r = s and starts a new chain, a point alone on its s too.
+    A chain start's error is carried to every later point of the chain, so it
+    gets 2 * n_inner nodes with the grading steepened to the 4-node rule's
+    order.  Only differences of t enter an exponential, so a large |a| T
+    cannot overflow a mild (a < 0) kernel.
     """
     order = np.lexsort((t, s))
     t, s = t[order], s[order]
     t_prev = np.concatenate([[0.0], t[:-1]])
-    same = s[1:] == s[:-1]
-    follows = np.concatenate([[False], same])
-    chained = follows & (t_prev - s >= t - t_prev)
-    lone = ~follows & ~np.concatenate([same, [False]])
+    chained = np.concatenate([[False], s[1:] == s[:-1]]) & (t_prev - s >= t - t_prev)
     lo = np.where(chained, t_prev, s)
     rules = [
-        (lone, graded_gauss(0.0, 1.0, n_inner // 4, order=4,
-                            gamma=3.0 / (h + 0.5), cluster="left")),
-        (~lone & ~chained, graded_gauss(0.0, 1.0, n_inner // 2, order=4,
-                                        gamma=6.0 / (h + 0.5), cluster="left")),
+        (~chained, graded_gauss(0.0, 1.0, n_inner // 2, order=4,
+                                gamma=6.0 / (h + 0.5), cluster="left")),
         (chained, graded_gauss(0.0, 1.0, 1, order=4, gamma=1.0)),
     ]
     acc = np.empty(t.shape)
@@ -545,15 +539,18 @@ class IntensityMeasure:
             raise DomainError("intensity density must be nonnegative")
         return rho
 
-    def cdf_increments(self, edges: np.ndarray) -> np.ndarray:
-        """Measure of the cells given by ``edges`` (Stieltjes weights)."""
-        if self.singular_tag == "cantor":
-            cdf = cantor_function(edges)
-            return np.diff(cdf)
-        if self.is_singular:
-            raise DomainError(f"unknown singular measure {self.singular_tag!r}")
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        return self.density_at(mids) * np.diff(edges)
+    def cells(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoints and masses of the cells that carry a singular measure, in increasing
+        order: Stieltjes nodes and weights for a rule of ``n`` nodes.  The Cantor measure
+        gives its 2^k level-k triadic intervals, each of mass 2^-k, with 2^k >= 8 n."""
+        if self.singular_tag != "cantor":
+            raise DomainError(f"no Stieltjes cells for measure '{self.name}' "
+                              f"(singular tag {self.singular_tag!r})")
+        level = (8 * n - 1).bit_length()
+        left = np.zeros(1)
+        for _ in range(level):
+            left = np.concatenate([left / 3.0, left / 3.0 + 2.0 / 3.0])
+        return left + 0.5 * 3.0 ** -level, np.full(left.size, 0.5 ** level)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,15 @@ from typing import Iterator
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import hyp2f1 as scipy_hyp2f1
 
 from .errors import DomainError
 from .fsde import _BLOCK, CouplingControl, _coupling, _noise_block
 from .gauss_aw import (TriangularFactor, cholesky_causal_factor, continuous_aw_unit,
                        _eval_components, _psd_sqrt, _t_matrix)
-from .kernels import (GaussianProcessSpec, IntensityMeasure, VolterraKernel, covariance,
-                      eval_fou_kernel, fbm_spec)
+from .kernels import (GaussianProcessSpec, IntensityMeasure, VolterraKernel, _mg_const,
+                      covariance, eval_fou_kernel, fbm_spec)
 from .mart_approx import mart_approx_distance, optimal_volatility
 from .quadrature import QuadratureGrid, gauss_jacobi_power, graded_gauss, graded_midpoint
 
@@ -103,7 +105,7 @@ def pointwise_optimal_correlation(spec1: GaussianProcessSpec, spec2: GaussianPro
     out = np.ones(times.size)
     inside = times < T
     s = np.clip(times[inside], 1e-12, None)
-    t_mat, w_mat = _t_matrix(s, T, n_t, 2.0, "midpoint")
+    t_mat, w_mat = _t_matrix(s, T, n_t, 2.0)
     v = _eval_components([spec1.components[0][0], spec2.components[0][0]], t_mat, s)
     ip = np.sum(v[0] * v[1] * w_mat, axis=1)
     out[inside] = np.where(ip >= 0.0, 1.0, -1.0)
@@ -291,6 +293,14 @@ def fbm_aw_reference(h1: float, h2: float, T: float = 1.0, dps: int = 20) -> flo
                      - 2 * c12 * tt ** (a + b + 1) / (a + b + 1))
 
 
+def _mg_forward_mean(h: float, r: float, T: float) -> float:
+    """rho_H(r) = (T - r)^-1 int_r^T k_H(s, r) ds by QUADPACK with the (s - r)^(H - 1/2) end as
+    its algebraic weight and scipy's hyp2f1 for the rest of the kernel."""
+    val = quad(lambda s: scipy_hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1.0 - s / r), r, T,
+               weight="alg", wvar=(h - 0.5, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return _mg_const(h) * val / (T - r)
+
+
 def regenerate_goldens(path) -> dict:
     """Re-derive every golden value from its oracle and write the registry to ``path``.
 
@@ -356,21 +366,24 @@ def regenerate_goldens(path) -> dict:
     tri_oracle = float(np.sqrt(np.sum(inner ** 2 * w[:, None] * w[None, :])))
     put("triangular_p1_bm", tri_oracle, "direct_2d_quadrature", {"n": 2048})
 
-    rho_a = optimal_volatility(0.7, 0.5, 1.0, quad_nodes=1024, scheme="midpoint")
-    rho_b = optimal_volatility(0.7, 0.5, 1.0, quad_nodes=1024, scheme="gauss")
-    if abs(rho_a - rho_b) > 1e-6:
-        raise DomainError("optimal volatility two-scheme check failed")
-    put("rho_h070_r050_T1", rho_b, "two_scheme_quadrature",
-        {"schemes": ["graded_midpoint", "graded_gauss"], "n": 1024,
-         "agreement": abs(rho_a - rho_b)})
+    # best martingale approximation at H = 0.7, frozen after the midpoint rule agrees with it
+    h, r, T = 0.7, 0.5, 1.0
+    rho = _mg_forward_mean(h, r, T)
+    gap = abs(optimal_volatility(h, r, T, quad_nodes=1024) - rho)
+    if gap > 1e-6:
+        raise DomainError(f"optimal volatility oracle gap {gap:.3e} during regeneration")
+    put("rho_h070_r050_T1", rho, "quadpack_algebraic_weight",
+        {"epsrel": 1e-13, "abs_gap_rule_1024": gap})
 
-    fine_grid = QuadratureGrid(n_s=512, n_t=512)
-    da = mart_approx_distance(0.7, 1.0, fine_grid, scheme="midpoint").distance_squared
-    db = mart_approx_distance(0.7, 1.0, fine_grid, scheme="gauss").distance_squared
-    if abs(da - db) > 2e-4 * abs(db):
-        raise DomainError("martingale distance two-scheme check failed")
-    put("mart_dist_h070_T1", da, "two_scheme_quadrature",
-        {"grid": [512, 512], "rel_agreement": abs(da - db) / abs(db)})
+    # int_0^T int_r^T (k - rho)^2 ds dr = int_0^T Var B_H(s) ds - int_0^T (T - r) rho(r)^2 dr
+    dist = T ** (2 * h + 1) / (2 * h + 1) - quad(
+        lambda r: (T - r) * _mg_forward_mean(h, r, T) ** 2, 0.0, T,
+        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    gap = abs(mart_approx_distance(h, T, QuadratureGrid(n_s=512, n_t=512)).distance_squared
+              - dist) / dist
+    if gap > 2e-4:
+        raise DomainError(f"martingale distance oracle gap {gap:.3e} during regeneration")
+    put("mart_dist_h070_T1", dist, "quadpack_nested", {"epsrel": 1e-13, "rel_gap_rule_512": gap})
 
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,8 @@
 """Graded quadrature rules for kernel integrals with endpoint singularities.
 
-Two genuinely different schemes are provided so that singular integrals can
-be cross-checked internally:
-
 * a composite midpoint rule on a graded mesh (nodes clustered at one or both
-  endpoints with a power-law grading), and
+  endpoints with a power-law grading), the continuous distance core's one
+  rule, and
 * composite Gauss-Legendre panels on a graded mesh, plus a true Gauss-Jacobi
   rule for integrands of the form (t - s)^beta * smooth.
 
@@ -46,9 +44,11 @@ class QuadratureGrid:
     """Resolution record shared by the distance and simulation code.
 
     ``n_s`` outer (s-integral) nodes and ``n_t`` inner (t-integral) nodes per
-    s-node.  Mesh grading follows from the kernels (``grading_exponent``).
-    With ``crosscheck_rtol`` set, continuous distances are recomputed under a
-    second quadrature scheme and must agree to that relative tolerance.
+    s-node.  Mesh grading follows from the kernels (``grading_exponent``); a
+    singular intensity measure brings its own cells (``IntensityMeasure.cells``).
+    With ``crosscheck_rtol`` set, continuous distances are recomputed on the
+    same rule at half ``n_s`` and ``n_t`` (at least 4 each) and must agree to
+    that relative tolerance of the trace term.
     """
 
     n_s: int = 256
@@ -84,7 +84,7 @@ def graded_midpoint(a: float, b: float, n: int, gamma: float = 2.0,
 
 def graded_gauss(a: float, b: float, n_panels: int, order: int = 4,
                  gamma: float = 2.0, cluster: str = "left") -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre panels on a graded mesh (cross-check scheme)."""
+    """Composite Gauss-Legendre panels on a graded mesh."""
     edges = _graded_edges(a, b, n_panels, gamma, cluster)
     x, w = roots_legendre(order)
     lo, hi = edges[:-1], edges[1:]

@@ -201,14 +201,25 @@ def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
     if poly is not None:
         return _match_shape(poly, z)
 
-    # the 1/z route degenerates when a - b is an integer; Pfaff then takes every
-    # lane, and its degree grows without bound as z -> -inf (so up to max_terms)
-    integer = abs((a - b) - round(a - b)) < 1e-8
-    lut, n_pfaff, w_max = ((_CLASS, _W_PFAFF.size, _W_PFAFF) if integer
-                           else (_KEY, _N_PFAFF, _W_KEY))
+    # 1/z, then Pfaff on each term, so both series share w = 1/(1-z): F(a,b;c;z) =
+    # C1 (1-z)^{-a} F(a, c-b; a-b+1; w) + C2 (1-z)^{-b} F(b, c-a; b-a+1; w).  Within 1e-8 of
+    # an integer a - b, C1 and C2 cancel unless both stay bounded (both near 1/2 in the
+    # Molchan-Golosov family near H = 1/2); else Pfaff takes every lane, up to max_terms
+    # as z -> -inf
+    far = []
+    off = abs((a - b) - round(a - b))
+    if off > 0.0 and z_arr.min(initial=0.0) < -1.0:  # some lane has z < -1
+        c1 = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
+        c2 = math.gamma(c) * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
+        if off >= 1e-8 or abs(c1) + abs(c2) <= 16.0:
+            # with c = ex + 1, as c = a + 1 in the Molchan-Golosov family, a series is
+            # F(ex, beta; beta; w) = (1 - w)^(-ex) (DLMF 15.4.6), and (1 - z)(1 - w) = -z
+            far = [(cf, ex, None if abs(c - ex - 1.0) <= 1e-15 * max(abs(c), 1.0)
+                    else _summer(ex, p, ex - q + 1.0, _W_KEY[_N_PFAFF:], max_terms))
+                   for cf, ex, p, q in ((c1, a, c - b, b), (c2, b, c - a, a)) if cf != 0.0]
+    lut, n_pfaff, w_max = (_KEY, _N_PFAFF, _W_KEY) if far else (_CLASS, _W_PFAFF.size, _W_PFAFF)
     # Pfaff: F(a,b;c;z) = (1-z)^{-a} F(a, c-b; c; w), w = z/(z-1)
     near = _summer(a, c - b, c, w_max[:n_pfaff], max_terms)
-    far = None
     zf = z_arr.ravel()
     out = np.empty_like(zf)
     for lo in range(0, zf.size, _BLOCK):
@@ -224,16 +235,6 @@ def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
             zn = zs[:split]
             vals[:split] = x[:split] ** (-a) * near(zn / (zn - 1.0), key[:split])
         if split < zs.size:
-            if far is None:
-                # 1/z, then Pfaff on each term, so both series share w = 1/(1-z): F(a,b;c;z) =
-                # C1 (1-z)^{-a} F(a, c-b; a-b+1; w) + C2 (1-z)^{-b} F(b, c-a; b-a+1; w)
-                c1 = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
-                c2 = math.gamma(c) * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
-                # with c = ex + 1, as c = a + 1 in the Molchan-Golosov family, a series is
-                # F(ex, beta; beta; w) = (1 - w)^(-ex) (DLMF 15.4.6), and (1 - z)(1 - w) = -z
-                far = [(cf, ex, None if abs(c - ex - 1.0) <= 1e-15 * max(abs(c), 1.0)
-                        else _summer(ex, p, ex - q + 1.0, w_max[n_pfaff:], max_terms))
-                       for cf, ex, p, q in ((c1, a, c - b, b), (c2, b, c - a, a)) if cf != 0.0]
             zr, xr, kr = zs[split:], x[split:], key[split:] - n_pfaff
             vals[split:] = sum(cf * ((-zr) ** (-ex) if series is None
                                      else xr ** (-ex) * series(1.0 / xr, kr))

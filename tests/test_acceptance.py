@@ -176,8 +176,7 @@ def test_criterion_09_martingale_approximation():
     from awgp.quadrature import grading_exponent
     idx = np.linspace(2, grid.n_s - 2, 50).astype(int)
     r_sel = res.r_nodes[idx]
-    s_mat, w_mat = _t_matrix(r_sel, T, grid.n_t, grading_exponent(max(0.0, 0.5 - h), h),
-                             "midpoint")
+    s_mat, w_mat = _t_matrix(r_sel, T, grid.n_t, grading_exponent(max(0.0, 0.5 - h), h))
     vals = eval_mg_kernel(h, s_mat.ravel(), np.repeat(r_sel, s_mat.shape[1])).reshape(s_mat.shape)
     rho = np.sum(vals * w_mat, axis=1) / (T - r_sel)
     base = np.sum((vals - rho[:, None]) ** 2 * w_mat, axis=1)

@@ -44,6 +44,6 @@ def test_one_hyp2f1_call_per_mg_evaluation(monkeypatch):
     mg = kernels.MolchanGolosov
     gamma_s, gamma_t = _pair_gammas([mg(h=0.3)], [mg(h=0.7)])
     s, _, t_mat, _ = _nodes(kernels.IntensityMeasure.lebesgue(), 1.0, QuadratureGrid(256, 256),
-                            gamma_s, gamma_t, "midpoint")
+                            gamma_s, gamma_t)
     kernels.eval_mg_kernel(0.3, t_mat, s[:, None])
     assert lanes == [65536]

@@ -12,7 +12,7 @@ from awgp.gauss_aw import (CovMatrix, DistanceReport, _densities, _eval_componen
                            trace_bound_optimal_gamma, triangular_integral)
 from awgp.kernels import (Brownian, CallableKernel, ConstantVolatility, GaussianProcessSpec,
                           IntensityMeasure, MolchanGolosov, RiemannLiouville,
-                          cantor_martingale_spec, fbm_spec, fou_spec)
+                          cantor_martingale_spec, eval_mg_kernel, fbm_spec, fou_spec)
 from awgp.oracles import bruteforce_discrete_cross_term, get_golden, psd_feasibility_sampler
 from awgp.quadrature import QuadratureGrid
 
@@ -203,12 +203,37 @@ class TestContinuousUnit:
         with pytest.raises(ConvergenceError):
             continuous_aw_unit(fbm_spec(0.5), fbm_spec(0.75), unreachable)
 
+    def test_crosscheck_flags_the_rough_pair(self):
+        # at grid 512 this distance is 2.4% low, and its half-grid gap is 3.9e-4
+        with pytest.raises(ConvergenceError, match="half-grid"):
+            continuous_aw_unit(fbm_spec(0.05), fbm_spec(0.95),
+                               QuadratureGrid(n_s=512, n_t=512, crosscheck_rtol=1e-4))
+
     def test_cantor_example(self):
         bm = GaussianProcessSpec(
             components=[(Brownian(T=1.0), IntensityMeasure.lebesgue())], T=1.0)
         rep = continuous_aw_unit(bm, cantor_martingale_spec())
         assert rep.cross_term == 0.0
-        assert rep.distance_squared == pytest.approx(1.0, abs=1e-3)
+        assert rep.distance_squared == pytest.approx(1.0, abs=1e-12)
+
+    def test_cantor_under_crosscheck(self):
+        bm = GaussianProcessSpec(
+            components=[(Brownian(T=1.0), IntensityMeasure.lebesgue())], T=1.0)
+        grid = QuadratureGrid(crosscheck_rtol=1e-12)
+        for spec in (bm, cantor_martingale_spec()):
+            rep = continuous_aw_unit(spec, cantor_martingale_spec(), grid)
+            assert rep.grid_meta["crosscheck_rel"] <= 1e-12
+
+    def test_singular_measure_without_cells(self):
+        other = IntensityMeasure(singular_tag="other", name="other")
+        spec = GaussianProcessSpec(components=[(Brownian(T=1.0), other)], T=1.0)
+        with pytest.raises(DomainError, match="other"):
+            continuous_aw_unit(spec, spec)
+        # the Cantor measure charges times up to 1
+        short = GaussianProcessSpec(components=[(Brownian(T=0.5), IntensityMeasure.cantor())],
+                                    T=0.5)
+        with pytest.raises(DomainError, match="horizon"):
+            continuous_aw_unit(short, short)
 
     def test_cantor_self_distance(self):
         rep = continuous_aw_unit(cantor_martingale_spec(), cantor_martingale_spec())
@@ -257,6 +282,11 @@ class TestContinuousFbm:
         rep = continuous_aw_fbm(0.3, 0.3, 2.0)
         assert rep.cross_term == 2.0 ** 1.6 / 1.6
         assert rep.trace_term == 2.0 * rep.cross_term and rep.distance_squared == 0.0
+
+    def test_hurst_within_1e_9_of_half(self):
+        # the kernel's hyp2f1 keeps its 1/z route there, so small s does not exhaust a series
+        assert eval_mg_kernel(0.5 + 1e-9, 1.0, 1e-8) == pytest.approx(1.0, rel=1e-8)
+        assert abs(continuous_aw_fbm(0.5, 0.5 + 1e-9).distance_squared) <= 1e-15
 
     def test_crosscheck(self):
         rep = continuous_aw_fbm(0.3, 0.7, 1.0, QuadratureGrid(crosscheck_rtol=1e-10))
@@ -454,7 +484,7 @@ def _unit_report_before_shared_reduction(spec1, spec2, grid):
     shared one reduction (shared nodes only)."""
     (k1, meas1), (k2, meas2) = spec1.components[0], spec2.components[0]
     gamma_s, gamma_t = _pair_gammas([k1], [k2])
-    s, ws, t_mat, w_mat = _nodes(meas1, spec1.T, grid, gamma_s, gamma_t, "midpoint")
+    s, ws, t_mat, w_mat = _nodes(meas1, spec1.T, grid, gamma_s, gamma_t)
     v1 = _eval_components([k1], t_mat, s)
     v2 = _eval_components([k2], t_mat, s)
     rho1, rho2 = _densities([meas1], s), _densities([meas2], s)

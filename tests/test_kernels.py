@@ -176,8 +176,7 @@ def _core_points(kernel, n_s, n_t):
     """The (t, s) node set the distance core lays out for an fBM-vs-``kernel`` pair."""
     gamma_s, gamma_t = _pair_gammas([MolchanGolosov(T=kernel.T, h=kernel.h)], [kernel])
     grid = QuadratureGrid(n_s=n_s, n_t=n_t)
-    s, _, t_mat, _ = _nodes(IntensityMeasure.lebesgue(), kernel.T, grid, gamma_s, gamma_t,
-                            "midpoint")
+    s, _, t_mat, _ = _nodes(IntensityMeasure.lebesgue(), kernel.T, grid, gamma_s, gamma_t)
     return t_mat, np.broadcast_to(s[:, None], t_mat.shape)
 
 
@@ -205,11 +204,11 @@ def _rl_fou_closed_form(h, lam, convention, t, s):
 
 
 def _pointwise_rule(kernel, t, s):
-    """The inner integral on n_inner graded nodes over [s, t] at every point (0 < s < t)."""
+    """The inner integral on 2 n_inner graded nodes over [s, t] at every point (0 < s < t)."""
     base_eval = eval_mg_kernel if kernel.base == "mg" else eval_rl_kernel
     a = -kernel.lam if kernel.convention == "mild" else kernel.lam
-    u, w = graded_gauss(0.0, 1.0, max(kernel.n_inner // 4, 2), order=4,
-                        gamma=3.0 / (kernel.h + 0.5), cluster="left")
+    u, w = graded_gauss(0.0, 1.0, kernel.n_inner // 2, order=4,
+                        gamma=6.0 / (kernel.h + 0.5), cluster="left")
     r = s[:, None] + (t - s)[:, None] * u[None, :]
     k_inner = base_eval(kernel.h, r.ravel(), np.repeat(s, u.size)).reshape(r.shape)
     inner = np.sum(np.exp(a * (t[:, None] - r)) * k_inner * ((t - s)[:, None] * w[None, :]),
@@ -228,13 +227,9 @@ class TestFouRecursion:
         for t, s in point_sets:
             t, s = np.ravel(t), np.ravel(s)
             exact = _rl_fou_closed_form(h, 1.0, convention, t, s)
+            # points alone on their s (the last cell's nodes against t = T) included
             err = np.abs(k.eval(t, s) - exact) / np.max(np.abs(exact))
-            _, where, count = np.unique(s, return_inverse=True, return_counts=True)
-            lone = count[where] == 1
-            assert np.max(err[~lone]) <= 1e-9
-            # a point alone on its s (the last cell's nodes against t = T)
-            # keeps the n_inner-node rule, about 2e-8 off at H = 0.3
-            assert np.max(err[lone], initial=0.0) <= 1e-7
+            assert np.max(err) <= 1e-9
 
     def test_rl_base_at_origin_includes_the_ou_term(self):
         k = FractionalOU(T=1.0, h=0.7, lam=1.0, base="rl")
@@ -355,6 +350,21 @@ class TestCantorFunction:
     def test_domain(self):
         with pytest.raises(DomainError):
             cantor_function(1.5)
+
+    @pytest.mark.parametrize("n", [1, 4, 256])
+    def test_cells_carry_the_function_increments(self, n):
+        s, mass = IntensityMeasure.cantor().cells(n)
+        assert 8 * n <= s.size < 16 * n
+        # the level-k intervals [L, L + 1] / 3^k, L with ternary digits 0 and 2, in order;
+        # each end is one rounding from exact, within what cantor_function snaps
+        k = int(np.log2(s.size))
+        left = np.zeros(1)
+        for j in range(k):
+            left = np.concatenate([left, left + 2.0 * 3.0 ** j])
+        assert np.max(np.abs(s - (left + 0.5) / 3.0 ** k)) <= 1e-15
+        increments = cantor_function((left + 1.0) / 3.0 ** k) - cantor_function(left / 3.0 ** k)
+        assert np.max(np.abs(increments - mass)) <= 1e-12
+        assert np.sum(mass) == 1.0
 
 
 class TestTabulated:

@@ -6,7 +6,7 @@ from awgp.gauss_aw import continuous_aw_fbm
 from awgp.kernels import eval_mg_kernel
 from awgp.mart_approx import MartingaleApproxResult, mart_approx_distance, optimal_volatility
 from awgp.oracles import get_golden
-from awgp.quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent
+from awgp.quadrature import QuadratureGrid, graded_midpoint, grading_exponent
 
 
 class TestOptimalVolatility:
@@ -63,8 +63,7 @@ class TestMartApproxDistance:
         res = mart_approx_distance(h, T, grid)
         from awgp.gauss_aw import _t_matrix
         from awgp.quadrature import grading_exponent
-        s_mat, w_mat = _t_matrix(res.r_nodes, T, grid.n_t,
-                                 grading_exponent(max(0.0, 0.5 - h), h), "midpoint")
+        s_mat, w_mat = _t_matrix(res.r_nodes, T, grid.n_t, grading_exponent(max(0.0, 0.5 - h), h))
         vals = eval_mg_kernel(h, s_mat.ravel(),
                               np.repeat(res.r_nodes, s_mat.shape[1])).reshape(s_mat.shape)
         base = np.sum((vals - res.rho[:, None]) ** 2 * w_mat, axis=1)
@@ -94,15 +93,8 @@ class TestMartApproxDistance:
             mart_approx_distance(1.2, 1.0)
 
 
-def _old_rule(a, b, n, gamma, scheme):
-    """The node rule the module used to write out itself."""
-    if scheme == "midpoint":
-        return graded_midpoint(a, b, n, gamma=gamma, cluster="left")
-    return graded_gauss(a, b, max(n // 4, 4), order=4, gamma=gamma + 1.0, cluster="left")
-
-
-def _old_rows(h, r, T, n, scheme):
-    u, w = _old_rule(0.0, 1.0, n, grading_exponent(max(0.0, 0.5 - h), h), scheme)
+def _old_rows(h, r, T, n, rule):
+    u, w = rule(0.0, 1.0, n, gamma=grading_exponent(max(0.0, 0.5 - h), h), cluster="left")
     span = (T - r)[:, None]
     s_mat, w_mat = r[:, None] + span * u[None, :], span * w[None, :]
     vals = eval_mg_kernel(h, s_mat.ravel(), np.repeat(r, s_mat.shape[1])).reshape(s_mat.shape)
@@ -110,23 +102,23 @@ def _old_rows(h, r, T, n, scheme):
 
 
 class TestSharedNodeBuilders:
-    """The distance core's node builders give bitwise what the old inline rules gave."""
+    """The distance core's node builders give bitwise what the old inline rule gave."""
 
-    @pytest.mark.parametrize("scheme", ["midpoint", "gauss"])
+    @pytest.mark.parametrize("rule", [graded_midpoint], ids=["midpoint"])
     @pytest.mark.parametrize("h", [0.2, 0.5, 0.7])
-    def test_mart_approx_distance(self, h, scheme):
+    def test_mart_approx_distance(self, h, rule):
         T, grid = 1.3, QuadratureGrid(n_s=48, n_t=80)
-        r, r_w = _old_rule(0.0, T, grid.n_s, grading_exponent(2.0 * abs(h - 0.5), h), scheme)
-        vals, w_mat, rho = _old_rows(h, r, T, grid.n_t, scheme)
+        r, r_w = rule(0.0, T, grid.n_s, gamma=grading_exponent(2.0 * abs(h - 0.5), h),
+                      cluster="left")
+        vals, w_mat, rho = _old_rows(h, r, T, grid.n_t, rule)
         dist = float(np.sum(np.sum((vals - rho[:, None]) ** 2 * w_mat, axis=1) * r_w))
-        res = mart_approx_distance(h, T, grid, scheme=scheme)
+        res = mart_approx_distance(h, T, grid)
         assert np.array_equal(res.r_nodes, r)
         assert np.array_equal(res.rho, rho)
         assert res.distance_squared == dist
 
-    @pytest.mark.parametrize("scheme", ["midpoint", "gauss"])
+    @pytest.mark.parametrize("rule", [graded_midpoint], ids=["midpoint"])
     @pytest.mark.parametrize("h", [0.2, 0.7])
-    def test_optimal_volatility(self, h, scheme):
+    def test_optimal_volatility(self, h, rule):
         r = np.linspace(0.05, 0.95, 19)
-        assert np.array_equal(optimal_volatility(h, r, 1.0, 96, scheme),
-                              _old_rows(h, r, 1.0, 96, scheme)[2])
+        assert np.array_equal(optimal_volatility(h, r, 1.0, 96), _old_rows(h, r, 1.0, 96, rule)[2])

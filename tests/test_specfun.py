@@ -156,6 +156,24 @@ class TestHyp2f1:
         perm = np.array(data.draw(st.permutations(range(zs.size))))
         assert np.array_equal(hyp2f1(a, b, c, zs[perm]), vals[perm])
 
+    @pytest.mark.parametrize("dh", [1e-12, 1e-9, 5e-9, -3e-9])
+    def test_molchan_golosov_near_half(self, dh):
+        # a - b = 2 dh lies within 1e-8 of 0, where a Pfaff series would run to max_terms as
+        # z -> -inf; the 1/z coefficients stay near 1/2 there, so that route still serves
+        a, b, c = dh, -dh, 1.0 + dh
+        zs = -np.geomspace(1e-10, 1e12, 60)
+        with mp.workdps(30):
+            ref = np.array([float(mp.hyp2f1(a, b, c, z)) for z in zs])
+        assert np.max(np.abs(hyp2f1(a, b, c, zs) - ref) / np.abs(ref)) <= 2e-15
+
+    def test_generic_near_integer_keeps_pfaff(self):
+        # a - b = -1e-9 with 1/z coefficients near 1e9, whose cancellation would cost
+        # about 9 digits
+        with mp.workdps(30):
+            for z in (-3.0, -100.0):
+                ref = float(mp.hyp2f1(1.0, 1.0 + 1e-9, 2.0, z))
+                assert hyp2f1(1.0, 1.0 + 1e-9, 2.0, z) == pytest.approx(ref, rel=1e-14)
+
     def test_integer_a_minus_b_takes_pfaff_past_the_switch(self):
         # F(1, 1; 2; z) = log(1 - z) / (-z); the 1/z route is singular at integer a - b
         zs = -np.geomspace(1e-3, 250.0, 60)
