@@ -54,8 +54,7 @@ def _report_text(report: DistanceReport, fmt: str, correlations: bool = False) -
 
 
 def _grid_from_args(args) -> QuadratureGrid:
-    n = args.grid or 256
-    return QuadratureGrid(n_s=n, n_t=n)
+    return QuadratureGrid(n_s=args.grid, n_t=args.grid)
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -159,8 +158,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer (from the flag or $AWGP_THREADS), got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -168,7 +166,7 @@ _READ_FLAGS = {
     "correlations": dict(action="store_true",
                          help="include the per-node correlation array in JSON output"),
     "format": dict(choices=("json", "csv"), default="json"),
-    "grid": dict(type=int, help="quadrature resolution (default 256)"),
+    "grid": dict(type=_positive_int, default=256, help="quadrature resolution (default 256)"),
 }
 
 

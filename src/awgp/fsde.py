@@ -132,8 +132,18 @@ class CouplingControl:
     times: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.values is not None and np.any(np.abs(np.asarray(self.values)) > 1.0 + 1e-12):
-            raise DomainError("coupling correlation must satisfy |rho| <= 1")
+        if self.values is None:
+            return
+        vals = np.asarray(self.values, dtype=float)
+        # a NaN fails the bound, so it is rejected with the rest
+        if not (vals.size and np.all(np.abs(vals) <= 1.0 + 1e-12)):
+            raise DomainError("coupling correlation needs at least one value, each with |rho| <= 1")
+        if self.kind == "tabulated":
+            times = np.asarray(self.times, dtype=float)
+            if not (times.ndim == 1 and times.shape == vals.shape and np.all(np.isfinite(times))
+                    and np.all(np.diff(times) > 0.0)):
+                raise DomainError("tabulated coupling times must be finite, strictly increasing "
+                                  "and one per value")
 
     @classmethod
     def synchronous(cls) -> "CouplingControl":

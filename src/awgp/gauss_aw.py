@@ -438,8 +438,7 @@ def triangular_integral(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     total = 0.0
     for c in range(partition_count):
         lo, hi = edges[c], edges[c + 1]
-        if c == 0 and (k1.singular_at_origin or k2.singular_at_origin
-                       or k1.origin_exponent > 0 or k2.origin_exponent > 0):
+        if c == 0 and (k1.origin_exponent > 0 or k2.origin_exponent > 0):
             r, w = graded_midpoint(lo, hi, q, gamma=gamma_s, cluster="left")
         else:
             r, w = graded_midpoint(lo, hi, q, gamma=1.0, cluster="left")

@@ -2,10 +2,12 @@
 
 A Gaussian process enters the library through its canonical representation:
 an ordered list of (kernel, intensity measure) pairs.  Each kernel k(t, s)
-vanishes for s > t (causality); fractional kernels are singular at s = 0
-and, for H < 1/2, on the diagonal, so pointwise evaluation there is either
-an error (s = 0) or fixed by convention (exactly 0 on a divergent diagonal).
-Quadrature callers use midpoint/graded nodes and never sample those points.
+vanishes for s > t (causality); ``_on_times`` alone knows this support, so
+every kernel core is written for 0 <= s <= t.  Fractional kernels are
+singular at s = 0 and, for H < 1/2, on the diagonal: s = 0 raises for the
+Molchan-Golosov kernel and the fOU kernel on that base, and a divergent
+diagonal is 0 by convention.  Quadrature callers use midpoint/graded nodes
+and never sample those points.
 """
 
 from __future__ import annotations
@@ -47,12 +49,12 @@ def _check_hurst(h: float) -> None:
         raise DomainError(f"Hurst parameter must lie in (0, 1), got {h}")
 
 
-def _on_times(core, t, s, singular_at_origin: str | None = None):
-    """``core(t, s)`` on t and s broadcast together, as a float for scalar input and
-    in the broadcast shape otherwise.
-
-    The times must be finite and nonnegative; a kernel named by
-    ``singular_at_origin`` also rejects s = 0 with a SingularityError.
+def _on_times(core, t, s, singular_name: str | None = None):
+    """``core(t, s)`` on t and s broadcast together: a float for scalar input, else a fresh
+    array of the broadcast shape.  The times must be finite and nonnegative, and s = 0 raises
+    a SingularityError for a kernel named by ``singular_name``.  The support is known here
+    alone: the core sees only points with 0 <= s <= t, all at once when every point is on it,
+    and never an empty set; the kernel is 0 wherever s > t.
     """
     t_arr, s_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
     # one reduction per bound and array; a NaN propagates, so it fails the first test
@@ -60,10 +62,26 @@ def _on_times(core, t, s, singular_at_origin: str | None = None):
         raise DomainError("times must be nonnegative")
     if not (t_arr.max(initial=0.0) < np.inf and s_arr.max(initial=0.0) < np.inf):
         raise DomainError("times must be finite")
-    if singular_at_origin and np.any(s_arr == 0.0):
-        raise SingularityError(f"{singular_at_origin} is singular at s = 0; use interior nodes")
-    out = core(np.atleast_1d(t_arr), np.atleast_1d(s_arr))
+    if singular_name and np.any(s_arr == 0.0):
+        raise SingularityError(f"{singular_name} is singular at s = 0; use interior nodes")
+    t1, s1 = np.atleast_1d(t_arr), np.atleast_1d(s_arr)
+    on = s1 <= t1
+    if t1.size and on.all():
+        out = core(t1, s1)
+    else:
+        out = np.zeros(t1.shape)
+        if on.any():
+            out[on] = core(t1[on], s1[on])
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+
+
+def _diag_power(d: np.ndarray, expo: float) -> np.ndarray:
+    """d^expo for d = t - s >= 0, with 0^0 = 1 (H = 1/2) and a divergent diagonal set to 0."""
+    with np.errstate(divide="ignore"):
+        power = d ** expo
+    if expo < 0.0 and d.min() == 0.0:
+        power[d == 0.0] = 0.0
+    return power
 
 
 def _mg_const(h: float) -> float:
@@ -77,16 +95,8 @@ def _mg_const(h: float) -> float:
 
 
 def _mg_core(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Molchan-Golosov kernel on flat arrays; no validation."""
-    d = t - s
-    if not (t.size and d.min() >= 0.0 and s.min() > 0.0):
-        # points off the support 0 < s <= t, or no points: zeros there, the rest evaluated
-        out = np.zeros(t.shape)
-        on = (s <= t) & (s > 0.0)
-        if np.any(on):
-            out[on] = _mg_core(h, t[on], s[on])
-        return out
-    return _mg_at(h, 1.0 - t / s, d)
+    """Molchan-Golosov kernel at points with 0 < s <= t; no validation."""
+    return _mg_at(h, 1.0 - t / s, t - s)
 
 
 def _mg_at(h: float, z: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -94,12 +104,7 @@ def _mg_at(h: float, z: np.ndarray, d: np.ndarray) -> np.ndarray:
     t would round to s) on flat arrays; no validation."""
     f = np.atleast_1d(hyp2f1(h - 0.5, 0.5 - h, h + 0.5, z))
     del z  # the caller holds no other reference: free it before the power's temporaries
-    expo = h - 0.5
-    with np.errstate(divide="ignore"):
-        power = d ** expo  # 0 ** 0 = 1 on the diagonal at H = 1/2
-    if expo < 0.0 and d.min() == 0.0:
-        power[d == 0.0] = 0.0  # the divergent diagonal stays at 0 by convention
-    return f * power * _mg_const(h)
+    return f * _diag_power(d, h - 0.5) * _mg_const(h)
 
 
 def eval_mg_kernel(h: float, t, s):
@@ -114,15 +119,8 @@ def eval_mg_kernel(h: float, t, s):
 
 
 def _rl_core(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    out = np.zeros(t.shape)
-    expo = h - 0.5
-    on = s <= t
-    off = on & (t > s)
-    out[off] = (t[off] - s[off]) ** expo / gamma_fn(h + 0.5)
-    if expo == 0.0:
-        out[on & (t == s)] = 1.0
-    # t == s with expo != 0: divergent (H < 1/2) or zero (H > 1/2); both -> 0
-    return out
+    """Riemann-Liouville kernel at points with 0 <= s <= t; no validation."""
+    return _diag_power(t - s, h - 0.5) / gamma_fn(h + 0.5)
 
 
 def eval_rl_kernel(h: float, t, s):
@@ -149,18 +147,14 @@ def _fou_core(h: float, lam: float, t: np.ndarray, s: np.ndarray,
     a = _fou_rate(lam, base, convention, n_inner)
     base_eval = _mg_core if base == "mg" else _rl_core
     out = base_eval(h, t, s)
-    if a == 0.0:
-        return out
-    on = s < t  # s = 0 reaches here only with the RL base, finite there
-    if not np.any(on):
-        return out
-    out[on] = out[on] + a * _fou_inner(h, a, t[on], s[on], n_inner, base_eval)
+    if a != 0.0:
+        out += a * _fou_inner(h, a, t.ravel(), s.ravel(), n_inner, base_eval).reshape(t.shape)
     return out
 
 
 def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int,
                base_eval) -> np.ndarray:
-    """I(t, s) = int_s^t exp(a (t - r)) k_base(r, s) dr for 0 <= s < t.
+    """I(t, s) = int_s^t exp(a (t - r)) k_base(r, s) dr for 0 <= s <= t, on flat arrays.
 
     Points sharing an s are taken in increasing t and chained by the Volterra
     recursion I(t_j) = exp(a (t_j - t_{j-1})) I(t_{j-1}) + the integral over
@@ -171,7 +165,8 @@ def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int,
     A chain start's error is carried to every later point of the chain, so it
     gets 2 * n_inner nodes with the grading steepened to the 4-node rule's
     order.  Only differences of t enter an exponential, so a large |a| T
-    cannot overflow a mild (a < 0) kernel.
+    cannot overflow a mild (a < 0) kernel.  A diagonal point integrates an
+    empty range to exactly 0 and chains to no later point.
     """
     order = np.lexsort((t, s))
     t, s = t[order], s[order]
@@ -185,6 +180,8 @@ def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int,
     ]
     acc = np.empty(t.shape)
     for sel, (u, w) in rules:
+        if not sel.any():
+            continue  # no chained point: the base core gets no empty input
         span = (t - lo)[sel, None]
         r = lo[sel, None] + span * u[None, :]
         k_r = base_eval(h, r.ravel(), np.repeat(s[sel], u.size)).reshape(r.shape)
@@ -240,10 +237,6 @@ class VolterraKernel:
         return 0.0
 
     @property
-    def singular_at_origin(self) -> bool:
-        return False
-
-    @property
     def origin_exponent(self) -> float:
         """Power-law exponent alpha with k(t, s) ~ s^(-alpha) as s -> 0."""
         return 0.0
@@ -253,9 +246,10 @@ class VolterraKernel:
 
 
 @dataclass(frozen=True)
-class MolchanGolosov(VolterraKernel):
+class _Fractional(VolterraKernel):
+    """Kernel with Hurst index h; each subclass brings its own ``kind`` and ``eval``."""
+
     h: float = 0.5
-    kind = "molchan_golosov"
 
     def __post_init__(self):
         _check_hurst(self.h)
@@ -268,9 +262,10 @@ class MolchanGolosov(VolterraKernel):
     def diag_exponent(self) -> float:
         return self.h - 0.5
 
-    @property
-    def singular_at_origin(self) -> bool:
-        return True
+
+@dataclass(frozen=True)
+class MolchanGolosov(_Fractional):
+    kind = "molchan_golosov"
 
     @property
     def origin_exponent(self) -> float:
@@ -281,20 +276,8 @@ class MolchanGolosov(VolterraKernel):
 
 
 @dataclass(frozen=True)
-class RiemannLiouville(VolterraKernel):
-    h: float = 0.5
+class RiemannLiouville(_Fractional):
     kind = "riemann_liouville"
-
-    def __post_init__(self):
-        _check_hurst(self.h)
-
-    @property
-    def grading_hurst(self) -> float:
-        return self.h
-
-    @property
-    def diag_exponent(self) -> float:
-        return self.h - 0.5
 
     @property
     def origin_exponent(self) -> float:
@@ -305,7 +288,7 @@ class RiemannLiouville(VolterraKernel):
 
 
 @dataclass(frozen=True)
-class FractionalOU(VolterraKernel):
+class FractionalOU(_Fractional):
     h: float = 0.7
     lam: float = 1.0
     base: str = "mg"
@@ -314,20 +297,8 @@ class FractionalOU(VolterraKernel):
     kind = "fou"
 
     def __post_init__(self):
-        _check_hurst(self.h)
+        super().__post_init__()
         _fou_rate(self.lam, self.base, self.convention, self.n_inner)
-
-    @property
-    def grading_hurst(self) -> float:
-        return self.h
-
-    @property
-    def diag_exponent(self) -> float:
-        return self.h - 0.5
-
-    @property
-    def singular_at_origin(self) -> bool:
-        return self.base == "mg"
 
     @property
     def origin_exponent(self) -> float:
@@ -343,7 +314,7 @@ class Brownian(VolterraKernel):
     kind = "brownian"
 
     def eval(self, t, s):
-        return _on_times(lambda t, s: (s <= t).astype(float), t, s)
+        return _on_times(lambda t, s: np.ones(t.shape), t, s)
 
 
 @dataclass(frozen=True)
@@ -354,8 +325,8 @@ class ConstantVolatility(VolterraKernel):
     kind = "constant_volatility"
 
     def eval(self, t, s):
-        return _on_times(lambda t, s: np.where(s <= t, np.asarray(self.rho(s), dtype=float), 0.0),
-                         t, s)
+        # a fresh float array of the points' shape, also when rho returns a scalar or s itself
+        return _on_times(lambda t, s: np.array(np.broadcast_to(self.rho(s), s.shape), float), t, s)
 
 
 @dataclass(frozen=True)
@@ -390,14 +361,14 @@ class Tabulated(VolterraKernel):
         j = np.clip(np.searchsorted(s_g, sc) - 1, 0, s_g.size - 2)
         ft = (tc - t_g[i]) / (t_g[i + 1] - t_g[i])
         fs = (sc - s_g[j]) / (s_g[j + 1] - s_g[j])
-        out = (vals[i, j] * (1 - ft) * (1 - fs) + vals[i + 1, j] * ft * (1 - fs)
-               + vals[i, j + 1] * (1 - ft) * fs + vals[i + 1, j + 1] * ft * fs)
-        return np.where(s <= t, out, 0.0)
+        return (vals[i, j] * (1 - ft) * (1 - fs) + vals[i + 1, j] * ft * (1 - fs)
+                + vals[i, j + 1] * (1 - ft) * fs + vals[i + 1, j + 1] * ft * fs)
 
 
 @dataclass(frozen=True)
 class CallableKernel(VolterraKernel):
-    """Escape hatch wrapping an arbitrary vectorized k(t, s); causality enforced."""
+    """Escape hatch wrapping an arbitrary vectorized k(t, s), called at points with
+    s <= t only; the kernel is 0 elsewhere."""
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(default=lambda t, s: np.ones_like(t))
     hurst_hint: float = 0.5
@@ -413,7 +384,7 @@ class CallableKernel(VolterraKernel):
         return self.diag_expo
 
     def eval(self, t, s):
-        return _on_times(lambda t, s: np.where(s <= t, np.asarray(self.fn(t, s), dtype=float), 0.0),
+        return _on_times(lambda t, s: np.array(np.broadcast_to(self.fn(t, s), t.shape), float),
                          t, s)
 
 

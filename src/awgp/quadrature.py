@@ -12,6 +12,7 @@ singularities at s = 0 and on the diagonal t = s are never sampled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,14 @@ class QuadratureGrid:
     n_s: int = 256
     n_t: int = 256
     crosscheck_rtol: float | None = None
+
+    def __post_init__(self):
+        for n in (self.n_s, self.n_t):
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise DomainError(f"grid node counts must be integers >= 1, got {n!r}")
+        rtol = self.crosscheck_rtol
+        if rtol is not None and not (math.isfinite(rtol) and rtol > 0.0):
+            raise DomainError(f"crosscheck_rtol must be None or finite and > 0, got {rtol!r}")
 
     def meta(self) -> dict:
         return {"n_s": self.n_s, "n_t": self.n_t}

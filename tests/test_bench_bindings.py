@@ -3,7 +3,8 @@
 ``bench/tracing.py`` wraps awgp functions by looking each one up with
 ``vars(owner)[attr]``; a name dropped from a module would break the traced
 benchmark run.  The first test loads the tracer as it is and checks every
-binding; the second keeps the hyp2f1 counts it reads meaning what they did.
+binding, the second that every kernel kind is traced once under its own name,
+and the third keeps the hyp2f1 counts it reads meaning what they did.
 """
 
 import importlib.util
@@ -18,17 +19,33 @@ from awgp.quadrature import QuadratureGrid
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_every_traced_name_is_defined():
+def _load_tracing():
+    """``bench/tracing.py`` as it is, loaded as a module."""
     spec = importlib.util.spec_from_file_location("awgp_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = tracing  # dataclasses look their module up here
     try:
         spec.loader.exec_module(tracing)
-        missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
-                   for owner, attr, _, _ in tracing.bindings() if attr not in vars(owner)]
     finally:
         del sys.modules[spec.name]
+    return tracing
+
+
+def test_every_traced_name_is_defined():
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in _load_tracing().bindings() if attr not in vars(owner)]
     assert not missing
+
+
+def test_kernel_spans_are_the_kernel_kinds():
+    # each concrete kernel class binds its own eval under its own kind: an eval or a kind on a
+    # shared base class would move or drop the per-kind point counts
+    tracing = _load_tracing()
+    bound = tracing.bindings()
+    evals = [name for owner, attr, name, _ in bound if isinstance(owner, type) and attr == "eval"]
+    expect = [f"kernels.{k}" for k in tracing.KERNEL_KINDS]
+    assert sorted(evals) == sorted(expect) and len(set(expect)) == len(expect)
+    assert {name for _, _, name, _ in bound if name.startswith("kernels.")} == set(expect)
 
 
 def test_one_hyp2f1_call_per_mg_evaluation(monkeypatch):

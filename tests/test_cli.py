@@ -203,6 +203,26 @@ def test_unread_common_flag_exit_2(command, flag, value, via_config, tmp_path, c
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["aw-fbm", "--h1", "0.5", "--h2", "0.7"],
+                                     ["aw-unit"], ["aw-multi"], ["mart-approx", "--h", "0.7"]],
+                         ids=["aw-fbm", "aw-unit", "aw-multi", "mart-approx"])
+@pytest.mark.parametrize("value", ["0", "-5", "2.5"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_non_positive_grid_exit_2(command, value, via_config, spec_files, tmp_path, capsys):
+    if command[0] in ("aw-unit", "aw-multi"):
+        command = command + ["--spec1", spec_files[0], "--spec2", spec_files[1]]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": json.loads(value)}))
+        argv = command + ["--config", str(cfg)]
+    else:
+        argv = command + ["--grid", value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
 class TestMartApprox:
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "mart-approx", "--h", "0.5", "--grid", "32")
@@ -285,6 +305,20 @@ class TestSimulate:
                        controls=["synchronous"])
         code, _, _ = run_cli(capsys, "simulate", "--scenario", sc)
         assert code == 2
+
+
+    @pytest.mark.parametrize("control", [
+        {"kind": "piecewise_constant", "values": []},
+        {"kind": "random_piecewise", "cells": 0},
+        {"kind": "piecewise_constant", "values": [0.5, float("nan")]},
+        {"kind": "tabulated", "times": [0.5, 0.0, 1.0], "values": [0.1, 0.2, 0.3]},
+        {"kind": "tabulated", "times": [0.0, 1.0], "values": [0.1, 0.2, 0.3]},
+    ], ids=["empty", "no-cells", "nan", "times-not-increasing", "length-mismatch"])
+    def test_bad_control_exit_2(self, tmp_path, capsys, control):
+        sc = _scenario(tmp_path, controls=["synchronous", control])
+        code, out, err = run_cli(capsys, "simulate", "--scenario", sc)
+        assert code == 2 and out == ""
+        assert "validation error" in err
 
 
 class TestCheckAssumptions:

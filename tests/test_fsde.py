@@ -84,6 +84,21 @@ class TestCoupledNoise:
         with pytest.raises(DomainError):
             CouplingControl.piecewise_constant([0.5, 1.5], T=1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: CouplingControl.piecewise_constant([], T=1.0),
+        lambda: CouplingControl.piecewise_constant([0.2, np.nan], T=1.0),
+        lambda: CouplingControl.piecewise_constant([np.inf], T=1.0),
+        lambda: CouplingControl.tabulated([0.5, 0.0, 1.0], [0.1, 0.2, 0.3]),
+        lambda: CouplingControl.tabulated([0.0, 0.5, 0.5], [0.1, 0.2, 0.3]),
+        lambda: CouplingControl.tabulated([0.0, np.nan, 1.0], [0.1, 0.2, 0.3]),
+        lambda: CouplingControl.tabulated([0.0, 1.0], [0.1, 0.2, 0.3]),
+        lambda: CouplingControl.tabulated([], []),
+    ], ids=["empty", "nan", "inf", "times-decreasing", "times-repeated", "times-nan",
+            "length-mismatch", "tabulated-empty"])
+    def test_bad_control_values_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
+
     def test_grid_too_coarse(self):
         with pytest.raises(DomainError):
             simulate_coupled_noise(BM, BM, SYNC, 1.0, 4, 10, seed=0)

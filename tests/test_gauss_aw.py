@@ -195,6 +195,20 @@ class TestContinuousUnit:
         with pytest.raises(DomainError):
             continuous_aw_unit(two, fbm_spec(0.5))
 
+    @pytest.mark.parametrize("fields", [
+        {"n_s": 0}, {"n_t": -3}, {"n_s": 2.5}, {"n_t": True}, {"n_s": "64"},
+        {"crosscheck_rtol": float("nan")}, {"crosscheck_rtol": float("inf")},
+        {"crosscheck_rtol": -1e-3}, {"crosscheck_rtol": 0.0},
+    ])
+    def test_bad_grid_rejected(self, fields):
+        with pytest.raises(DomainError):
+            QuadratureGrid(**fields)
+
+    def test_smallest_grid_runs(self):
+        grid = QuadratureGrid(n_s=np.int64(1), n_t=1, crosscheck_rtol=1.0)
+        rep = continuous_aw_unit(fbm_spec(0.5), fbm_spec(0.75), grid)
+        assert np.isfinite(rep.distance_squared)
+
     def test_crosscheck_passes_and_fails(self):
         ok = QuadratureGrid(n_s=128, n_t=128, crosscheck_rtol=1e-2)
         rep = continuous_aw_unit(fbm_spec(0.5), fbm_spec(0.75), ok)
@@ -459,6 +473,15 @@ class TestTriangularIntegral:
         rep = continuous_aw_unit(fbm_spec(0.5), fbm_spec(0.75))
         v64 = triangular_integral(fbm_spec(0.5), fbm_spec(0.75), 64)
         assert v64 == pytest.approx(rep.cross_term, rel=5e-3)
+
+    def test_half_hurst_is_the_brownian_value(self):
+        # MG(1/2) and the fOU kernel at lam = 0 on that base are the Brownian kernel,
+        # 1 on 0 < s <= t: no origin singularity, so the same cells and the same sum
+        bm = GaussianProcessSpec(
+            components=[(Brownian(T=1.0), IntensityMeasure.lebesgue())], T=1.0)
+        expect = triangular_integral(bm, bm, 32)
+        assert triangular_integral(fbm_spec(0.5), bm, 32) == expect
+        assert triangular_integral(fou_spec(0.5, 0.0), bm, 32) == expect
 
     def test_preconditions(self):
         with pytest.raises(DomainError):

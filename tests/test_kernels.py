@@ -66,6 +66,38 @@ class TestMolchanGolosov:
             expect = hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1.0 - t / s) * power * _mg_const(h)
             assert np.array_equal(eval_mg_kernel(h, t, s), expect)
 
+        # the Riemann-Liouville and simple kernels as they were written with their own
+        # support masks, on points on, off and exactly on the diagonal
+        s = rng.uniform(0.0, 2.0, 3000)
+        t = np.where(rng.random(3000) < 0.2, s, rng.uniform(0.0, 2.0, 3000))
+        for h in (0.2, 0.5, 0.8):
+            expect = np.zeros(t.shape)
+            expo = h - 0.5
+            off = t > s
+            expect[off] = (t[off] - s[off]) ** expo / gamma_fn(h + 0.5)
+            if expo == 0.0:
+                expect[t == s] = 1.0
+            assert np.array_equal(eval_rl_kernel(h, t, s), expect)
+        rho = lambda s: 1.0 + np.sin(3.0 * s)  # noqa: E731
+        fn = lambda t, s: np.exp(s - t) * np.cos(3.0 * t)  # noqa: E731
+        tab = Tabulated(T=2.0, t_grid=np.array([0.0, 0.7, 2.0]), s_grid=np.array([0.0, 0.7, 2.0]),
+                        values=np.array([[1.0, 0.0, 0.0], [0.5, 2.0, 0.0], [0.3, -1.0, 1.5]]))
+        tc, sc = np.clip(t, 0.0, 2.0), np.clip(s, 0.0, 2.0)
+        i = np.clip(np.searchsorted(tab.t_grid, tc) - 1, 0, 1)
+        j = np.clip(np.searchsorted(tab.s_grid, sc) - 1, 0, 1)
+        ft = (tc - tab.t_grid[i]) / (tab.t_grid[i + 1] - tab.t_grid[i])
+        fs = (sc - tab.s_grid[j]) / (tab.s_grid[j + 1] - tab.s_grid[j])
+        v = tab.values
+        bilinear = (v[i, j] * (1 - ft) * (1 - fs) + v[i + 1, j] * ft * (1 - fs)
+                    + v[i, j + 1] * (1 - ft) * fs + v[i + 1, j + 1] * ft * fs)
+        for kernel, expect in [
+            (Brownian(T=2.0), (s <= t).astype(float)),
+            (ConstantVolatility(T=2.0, rho=rho), np.where(s <= t, rho(s), 0.0)),
+            (tab, np.where(s <= t, bilinear, 0.0)),
+            (CallableKernel(T=2.0, fn=fn), np.where(s <= t, fn(t, s), 0.0)),
+        ]:
+            assert np.array_equal(kernel.eval(t, s), expect), kernel.kind
+
 
 class TestTimeValidation:
     @pytest.mark.parametrize("evaluate", [
@@ -292,6 +324,78 @@ class TestCausality:
         ss = np.array([0.4, 0.7, 0.9])  # every pair has s > t
         for k in kinds:
             assert np.all(k.eval(ts, ss) == 0.0), k.kind
+
+
+SUPPORT_KINDS = [
+    MolchanGolosov(h=0.3), MolchanGolosov(h=0.5), MolchanGolosov(h=0.8),
+    RiemannLiouville(h=0.3), RiemannLiouville(h=0.5), RiemannLiouville(h=0.8),
+    *(FractionalOU(h=0.3, lam=1.3, base=b, convention=c, n_inner=16)
+      for b in ("mg", "rl") for c in ("mild", "forward")),
+    Brownian(),
+    ConstantVolatility(rho=lambda s: 1.0 + s),
+    Tabulated(t_grid=np.array([0.0, 1.0]), s_grid=np.array([0.0, 1.0]),
+              values=np.array([[1.0, 0.0], [0.5, 2.0]])),
+    CallableKernel(fn=lambda t, s: np.cos(t - 2.0 * s)),
+]
+SUPPORT_IDS = ["mg-0.3", "mg-0.5", "mg-0.8", "rl-0.3", "rl-0.5", "rl-0.8",
+               "fou-mg-mild", "fou-mg-forward", "fou-rl-mild", "fou-rl-forward",
+               "brownian", "constant-volatility", "tabulated", "callable"]
+
+
+@pytest.mark.parametrize("kernel", SUPPORT_KINDS, ids=SUPPORT_IDS)
+class TestSupportRule:
+    """Every kind is 0 off 0 <= s <= t and is evaluated on the support alone."""
+
+    def test_empty_in_empty_out(self, kernel):
+        for shape in [(0,), (0, 3)]:
+            out = kernel.eval(np.zeros(shape), np.zeros(shape))
+            assert out.shape == shape and out.dtype == float
+
+    def test_scalar_in_float_out(self, kernel):
+        on, off = kernel.eval(0.9, 0.4), kernel.eval(0.4, 0.9)
+        assert type(on) is float and type(off) is float and off == 0.0
+        assert on == kernel.eval(np.array([0.9]), np.array([0.4]))[0]
+
+    def test_broadcast_shape_and_zero_above_the_diagonal(self, kernel):
+        t = np.linspace(0.05, 1.0, 7)[:, None]
+        s = np.linspace(0.01, 1.0, 5)[None, :]
+        out = kernel.eval(t, s)
+        assert out.shape == (7, 5) and out.flags.writeable
+        assert np.all(out[s > t] == 0.0)
+        assert np.array_equal(out[s <= t], kernel.eval(*np.broadcast_arrays(t, s))[s <= t])
+
+    def test_mixed_points_bitwise_those_of_the_on_support_call(self, kernel):
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0.01, 1.0, 400)
+        s = rng.uniform(0.01, 1.0, 400)
+        s[:40] = t[:40]  # the diagonal is on the support
+        on = s <= t
+        mixed = kernel.eval(t, s)
+        assert np.all(mixed[~on] == 0.0)
+        assert np.array_equal(mixed[on], kernel.eval(t[on], s[on]))
+        assert mixed.flags.writeable and kernel.eval(t[on], s[on]).flags.writeable
+
+    def test_output_is_a_fresh_array(self, kernel):
+        t, s = np.full(6, 0.8), np.linspace(0.1, 0.8, 6)
+        out = kernel.eval(t, s)
+        out[:] = -7.0
+        assert np.all(t == 0.8) and np.array_equal(s, np.linspace(0.1, 0.8, 6))
+        assert not np.array_equal(kernel.eval(t, s), out)
+
+
+@pytest.mark.parametrize("kernel,value", [
+    (ConstantVolatility(rho=lambda s: 2.5), lambda s: 2.5),
+    (CallableKernel(fn=lambda t, s: 2.5), lambda s: 2.5),
+    (ConstantVolatility(rho=lambda s: s), lambda s: s),
+], ids=["volatility-scalar", "callable-scalar", "volatility-identity"])
+def test_user_function_result_fills_the_points(kernel, value):
+    t = np.array([[0.9, 0.2, 0.5], [0.7, 0.7, 0.1]])
+    s = np.array([0.4, 0.6, 0.5])
+    out = kernel.eval(t, s)
+    assert out.shape == (2, 3) and out.flags.writeable
+    assert np.array_equal(out, np.where(s <= t, value(s), 0.0))
+    out[:] = 0.0  # the output never aliases the input times
+    assert np.array_equal(s, [0.4, 0.6, 0.5])
 
 
 class TestCovariance:
