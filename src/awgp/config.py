@@ -105,6 +105,8 @@ def build_controls(cfg_list, T: float, n_cells_default: int = 16) -> list[Coupli
             gen = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(entropy=(int(cfg.get("seed", 0)), 13))))
             cells = int(cfg.get("cells", n_cells_default))
+            if cells < 1:
+                raise DomainError(f"random_piecewise control needs cells >= 1, got {cells}")
             for _ in range(int(cfg.get("count", 1))):
                 controls.append(CouplingControl.piecewise_constant(
                     gen.uniform(-1.0, 1.0, size=cells), T))

@@ -310,10 +310,12 @@ class TestSimulate:
     @pytest.mark.parametrize("control", [
         {"kind": "piecewise_constant", "values": []},
         {"kind": "random_piecewise", "cells": 0},
+        {"kind": "random_piecewise", "cells": -2},
         {"kind": "piecewise_constant", "values": [0.5, float("nan")]},
         {"kind": "tabulated", "times": [0.5, 0.0, 1.0], "values": [0.1, 0.2, 0.3]},
         {"kind": "tabulated", "times": [0.0, 1.0], "values": [0.1, 0.2, 0.3]},
-    ], ids=["empty", "no-cells", "nan", "times-not-increasing", "length-mismatch"])
+    ], ids=["empty", "no-cells", "negative-cells", "nan", "times-not-increasing",
+            "length-mismatch"])
     def test_bad_control_exit_2(self, tmp_path, capsys, control):
         sc = _scenario(tmp_path, controls=["synchronous", control])
         code, out, err = run_cli(capsys, "simulate", "--scenario", sc)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from awgp import fsde
+from awgp.config import build_controls
 from awgp.errors import DomainError, SimulationError
 from awgp.fsde import (CostEstimate, CouplingControl, FsdeSpec, PathEnsemble, assumption_checker,
                        estimate_coupling_cost, euler_fsde, lamperti_inverse,
@@ -93,8 +94,10 @@ class TestCoupledNoise:
         lambda: CouplingControl.tabulated([0.0, np.nan, 1.0], [0.1, 0.2, 0.3]),
         lambda: CouplingControl.tabulated([0.0, 1.0], [0.1, 0.2, 0.3]),
         lambda: CouplingControl.tabulated([], []),
+        lambda: build_controls([{"kind": "random_piecewise", "cells": 0}], T=1.0),
+        lambda: build_controls([{"kind": "random_piecewise", "cells": -2}], T=1.0),
     ], ids=["empty", "nan", "inf", "times-decreasing", "times-repeated", "times-nan",
-            "length-mismatch", "tabulated-empty"])
+            "length-mismatch", "tabulated-empty", "no-cells", "negative-cells"])
     def test_bad_control_values_rejected(self, make):
         with pytest.raises(DomainError):
             make()

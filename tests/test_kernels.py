@@ -389,13 +389,14 @@ class TestSupportRule:
     (ConstantVolatility(rho=lambda s: s), lambda s: s),
 ], ids=["volatility-scalar", "callable-scalar", "volatility-identity"])
 def test_user_function_result_fills_the_points(kernel, value):
-    t = np.array([[0.9, 0.2, 0.5], [0.7, 0.7, 0.1]])
     s = np.array([0.4, 0.6, 0.5])
-    out = kernel.eval(t, s)
-    assert out.shape == (2, 3) and out.flags.writeable
-    assert np.array_equal(out, np.where(s <= t, value(s), 0.0))
-    out[:] = 0.0  # the output never aliases the input times
-    assert np.array_equal(s, [0.4, 0.6, 0.5])
+    # mixed points (the subset call), then every point on the support (one call on all)
+    for t in (np.array([[0.9, 0.2, 0.5], [0.7, 0.7, 0.1]]), np.ones((2, 3))):
+        out = kernel.eval(t, s)
+        assert out.shape == (2, 3) and out.flags.writeable
+        assert np.array_equal(out, np.where(s <= t, value(s), 0.0))
+        out[:] = 0.0  # the output never aliases the input times
+        assert np.array_equal(s, [0.4, 0.6, 0.5])
 
 
 class TestCovariance:
