@@ -95,7 +95,7 @@ def _mg_const(h: float) -> float:
 
 
 def _mg_core(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Molchan-Golosov kernel at points with 0 < s <= t; no validation."""
+    """Molchan-Golosov kernel for 0 < s <= t only (0 on a divergent diagonal); no validation."""
     return _mg_at(h, 1.0 - t / s, t - s)
 
 
@@ -119,7 +119,7 @@ def eval_mg_kernel(h: float, t, s):
 
 
 def _rl_core(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Riemann-Liouville kernel at points with 0 <= s <= t; no validation."""
+    """Riemann-Liouville kernel for 0 <= s <= t only (0 on a divergent diagonal); no validation."""
     return _diag_power(t - s, h - 0.5) / gamma_fn(h + 0.5)
 
 
