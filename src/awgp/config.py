@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .fsde import CouplingControl, FsdeSpec, make_diffusion, make_drift
+from .fsde import CouplingControl, FsdeSpec, _tabulated_fn, make_diffusion, make_drift
 from .kernels import (Brownian, ConstantVolatility, FractionalOU, GaussianProcessSpec,
                       IntensityMeasure, MolchanGolosov, RiemannLiouville, Tabulated,
                       VolterraKernel, load_tabulated_csv)
@@ -46,9 +46,7 @@ def build_kernel(cfg: dict | str, T: float) -> VolterraKernel:
     if kind == "constant_volatility":
         if "coeffs" in cfg:
             return ConstantVolatility(T=T, rho=_poly(cfg["coeffs"]))
-        xs = np.asarray(cfg["s"], dtype=float)
-        ys = np.asarray(cfg["rho"], dtype=float)
-        return ConstantVolatility(T=T, rho=lambda s: np.interp(s, xs, ys))
+        return ConstantVolatility(T=T, rho=_tabulated_fn(cfg["s"], cfg["rho"], "volatility table"))
     if kind == "tabulated":
         if "csv" in cfg:
             return load_tabulated_csv(cfg["csv"], T=T)
@@ -71,9 +69,8 @@ def build_measure(cfg: dict | str | None) -> IntensityMeasure:
     if kind == "poly":
         return IntensityMeasure.from_density(_poly(cfg["coeffs"]), name="poly")
     if kind == "tabulated":
-        xs = np.asarray(cfg["s"], dtype=float)
-        ys = np.asarray(cfg["rho"], dtype=float)
-        return IntensityMeasure.from_density(lambda s: np.interp(s, xs, ys), name="tabulated")
+        return IntensityMeasure.from_density(_tabulated_fn(cfg["s"], cfg["rho"], "density table"),
+                                             name="tabulated")
     raise DomainError(f"unknown measure kind {kind!r}")
 
 

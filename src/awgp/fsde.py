@@ -67,9 +67,21 @@ _MAP_ROWS = 16  # time steps per state-map call: its temporaries stay in cache
 # drift / diffusion registry
 # ---------------------------------------------------------------------------
 
-def _tabulated_fn(xs: Sequence[float], ys: Sequence[float]) -> Callable:
-    xs_a = np.asarray(xs, dtype=float)
-    ys_a = np.asarray(ys, dtype=float)
+def _increasing_table(xs, ys, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) as float arrays; raises DomainError unless the abscissae are 1-D, finite and
+    strictly increasing, one per value.  np.interp needs that and does not check it."""
+    xs_a, ys_a = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if not (xs_a.ndim == 1 and xs_a.shape == ys_a.shape and np.all(np.isfinite(xs_a))
+            and np.all(np.diff(xs_a) > 0.0)):
+        raise DomainError(f"{what} abscissae must be finite, strictly increasing and one per value")
+    return xs_a, ys_a
+
+
+def _tabulated_fn(xs: Sequence[float], ys: Sequence[float], what: str) -> Callable:
+    """Piecewise-linear interpolant of a table with finite values, constant beyond its ends."""
+    xs_a, ys_a = _increasing_table(xs, ys, what)
+    if not (xs_a.size and np.all(np.isfinite(ys_a))):
+        raise DomainError(f"{what} needs at least one value, each finite")
     return lambda x: np.interp(x, xs_a, ys_a)
 
 
@@ -88,7 +100,7 @@ def make_drift(spec) -> tuple[Callable, str]:
     if name == "tanh":
         return np.tanh, "tanh"
     if name == "tabulated":
-        return _tabulated_fn(spec["x"], spec["y"]), "tabulated"
+        return _tabulated_fn(spec["x"], spec["y"], "drift table"), "tabulated"
     raise DomainError(f"unknown drift {name!r}")
 
 
@@ -106,7 +118,7 @@ def make_diffusion(spec) -> tuple[Callable, str]:
         c = float(spec.get("c", 2.0))
         return (lambda x: c + np.sin(np.asarray(x, dtype=float))), f"sin_offset({c})"
     if name == "tabulated":
-        return _tabulated_fn(spec["x"], spec["y"]), "tabulated"
+        return _tabulated_fn(spec["x"], spec["y"], "diffusion table"), "tabulated"
     raise DomainError(f"unknown diffusion {name!r}")
 
 
@@ -139,11 +151,7 @@ class CouplingControl:
         if not (vals.size and np.all(np.abs(vals) <= 1.0 + 1e-12)):
             raise DomainError("coupling correlation needs at least one value, each with |rho| <= 1")
         if self.kind == "tabulated":
-            times = np.asarray(self.times, dtype=float)
-            if not (times.ndim == 1 and times.shape == vals.shape and np.all(np.isfinite(times))
-                    and np.all(np.diff(times) > 0.0)):
-                raise DomainError("tabulated coupling times must be finite, strictly increasing "
-                                  "and one per value")
+            _increasing_table(self.times, vals, "tabulated coupling")
 
     @classmethod
     def synchronous(cls) -> "CouplingControl":

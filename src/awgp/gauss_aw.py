@@ -13,7 +13,9 @@ measures mu_i,
 
 where the geometric mean sqrt(mu1 mu2) vanishes on mutually singular parts.
 With densities on shared nodes this equals int ||k1 sqrt(rho1) - sigma k2
-sqrt(rho2)||^2 ds, sigma = sign <k1, k2>, which is how it is summed.
+sqrt(rho2)||^2 ds, sigma = sign <k1, k2>, which is how it is summed.  Kernels
+homogeneous under time scaling on the Lebesgue measure (Molchan-Golosov,
+Riemann-Liouville, Brownian) make the t-integral exact, leaving one 1-D integral.
 Higher multiplicity replaces the absolute value by a trace norm of the
 matrix of component inner products and the sign by its orthogonal Procrustes
 factor U V^H (Schoenemann 1966).  A partition-based triangular integral
@@ -33,7 +35,8 @@ from scipy.linalg.lapack import dpotrf
 
 from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError
 from .kernels import (Brownian, CallableKernel, GaussianProcessSpec, IntensityMeasure,
-                      VolterraKernel, _check_hurst, _mg_at, _same_kernels, covariance, fbm_spec)
+                      MolchanGolosov, VolterraKernel, _check_hurst, _same_kernels, _unit_row,
+                      _UnitRow, covariance, fbm_spec)
 # graded_gauss goes unused here: the benchmark tracer binds it by name
 from .quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent  # noqa: F401
 
@@ -110,9 +113,8 @@ class DistanceReport:
     ``optimal_correlation`` is a per-step/per-node sign array in the unit
     multiplicity and discrete cases, or a stack of per-node coupling factor
     matrices U V^H, shape (n_s, m, n), in the higher-multiplicity case.
-    ``distance_squared`` is a sum of squares, so it is never negative, except from
-    :func:`continuous_aw_fbm`, trace - 2 cross, which can miss 0 by rounding (about
-    1e-16 of the trace term) when |H1 - H2| is below about 1e-8.
+    ``distance_squared`` is never negative: it is a sum of squares, or, from the
+    self-similar rule, trace - 2 cross with a miss of 0 by rounding read as 0.
     """
 
     distance_squared: float
@@ -260,6 +262,13 @@ def _trace_term(vals: np.ndarray, rho: np.ndarray, ws: np.ndarray, w_mat: np.nda
     return float(np.sum(np.einsum("ist,ist,st->is", vals, vals, w_mat) * rho * ws))
 
 
+def _horizon(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec) -> float:
+    """The horizon two specs share, as a float."""
+    if abs(spec1.T - spec2.T) > 1e-12:
+        raise DomainError("horizon mismatch between process specs")
+    return float(spec1.T)
+
+
 def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
                    grid: QuadratureGrid) -> DistanceReport:
     """One quadrature pass that evaluates each kernel once per node set, and equal kernel
@@ -270,9 +279,7 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     thin SVD otherwise) and adds ||V_more - C V_fewer||_W^2: no cancellation, and
     exactly 0 for identical unit-multiplicity inputs.
     """
-    if abs(spec1.T - spec2.T) > 1e-12:
-        raise DomainError("horizon mismatch between process specs")
-    T = spec1.T
+    T = _horizon(spec1, spec2)
     spec1.validate_ordering()
     spec2.validate_ordering()
     kernels1, measures1 = zip(*spec1.components)
@@ -359,22 +366,34 @@ def continuous_aw_multi(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     singular value decomposition; its trace norm enters the cross term and
     U V^H is the per-node optimal coupling factor C of the sum of squares
     ||V_more - C V_fewer||^2.  A unit pair gives :func:`continuous_aw_unit`'s report.
+    Two single-component specs on the Lebesgue measure whose kernels are Molchan-Golosov,
+    Riemann-Liouville or Brownian take :func:`_self_similar`'s 1-D rule instead.
     """
-    return _run_with_crosscheck(lambda g: _distance_core(spec1, spec2, g),
-                                grid or QuadratureGrid())
+    grid = grid or QuadratureGrid()
+    row1, row2 = _lebesgue_row(spec1), _lebesgue_row(spec2)
+    if row1 is None or row2 is None:
+        return _run_with_crosscheck(lambda g: _distance_core(spec1, spec2, g), grid)
+    return _self_similar(row1, row2, _horizon(spec1, spec2), grid)
 
 
-def _fbm_cross(h1: float, h2: float, n: int) -> float:
+def _lebesgue_row(spec: GaussianProcessSpec) -> _UnitRow | None:
+    """The unit row of a one-component spec's kernel on the Lebesgue measure, else None."""
+    if spec.multiplicity != 1:
+        return None
+    kernel, measure = spec.components[0]
+    return _unit_row(kernel) if measure.is_lebesgue else None
+
+
+def _self_similar_cross(r1: _UnitRow, r2: _UnitRow, n: int) -> float:
     """c12 = int_0^1 k1(1, s) k2(1, s) ds on n // 16 Gauss-Legendre panels of order 16, graded
     by 1/4 toward both ends; an end's innermost panel [0, eps] takes eps v^p, p = q/(beta+1),
-    for the worst power x^beta there (now v^(q-1)), q = 4 unless p would pass 12, down to
+    for the product's power x^beta there (now v^(q-1)), q = 4 unless p would pass 12, down to
     q = 1: a steeper p pushes the next powers beyond the panel's degree.  The s -> 1 half
     is built as offsets d = 1 - s."""
     x, w = np.polynomial.legendre.leggauss(16)
     x, w = 0.5 * (x + 1.0), 0.5 * w
     u, wu = [], []  # distances to the end and weights, the s -> 0 end first
-    for beta, m in ((-max(abs(h1 + h2 - 1.0), abs(h1 - h2)), n // 16 - n // 32),
-                    (h1 + h2 - 1.0, n // 32)):
+    for beta, m in ((-(r1.p0 + r2.p0), n // 16 - n // 32), (r1.h + r2.h - 1.0, n // 32)):
         # past 60 levels the ratio widens, and the cap on p keeps eps v^p a normal float
         edges = 0.5 * 0.25 ** (np.arange(m) * min(1.0, 60.0 / m))
         q = min(4, max(1, int(12.0 * (beta + 1.0))))
@@ -382,31 +401,52 @@ def _fbm_cross(h1: float, h2: float, n: int) -> float:
         u.append(np.r_[(lo + span * x).ravel(), edges[-1] * x ** p])
         wu.append(np.r_[(span * w).ravel(), edges[-1] * p * x ** (p - 1.0) * w])
     s, d = np.r_[u[0], 1.0 - u[1]], np.r_[1.0 - u[0], u[1]]
-    return float(np.r_[wu[0], wu[1]] @ (_mg_at(h1, -d / s, d) * _mg_at(h2, -d / s, d)))
+    return float(np.r_[wu[0], wu[1]] @ (r1.at(s, d) * r2.at(s, d)))
+
+
+def _fbm_cross(h1: float, h2: float, n: int) -> float:
+    """:func:`_self_similar_cross` on two Molchan-Golosov rows."""
+    return _self_similar_cross(_unit_row(MolchanGolosov(h=h1)), _unit_row(MolchanGolosov(h=h2)), n)
+
+
+def _self_similar(r1: _UnitRow, r2: _UnitRow, T: float, grid: QuadratureGrid) -> DistanceReport:
+    """Distance between two homogeneous kernels on the Lebesgue measure, k(ct, cs) =
+    c^(H-1/2) k(t, s).  Such kernels are positive (optimal sign +1) and the t-integral is
+    exact: AW2 = a1 c11 + a2 c22 - 2 f12 c12, ai = T^(2Hi+1)/(2Hi+1),
+    f12 = T^(H1+H2+1)/(H1+H2+1), cij = int_0^1 ki(1, s) kj(1, s) ds.  The cii are exact, and
+    so is c12 = c11 for equal rows (AW2 exactly 0); otherwise c12 is
+    :func:`_self_similar_cross`'s rule of ``grid.n_s`` nodes (a multiple of 16, at least 32).
+    ``n_t`` does not apply (None in ``grid_meta``); ``crosscheck_rtol`` compares with the
+    rule of half the nodes.  A difference within 4 eps of the trace term below 0 is rounding
+    and reads 0; one further below raises ConvergenceError.
+    """
+    a1, a2, f12 = (T ** (e + 1.0) / (e + 1.0) for e in (2.0 * r1.h, 2.0 * r2.h, r1.h + r2.h))
+    trace = a1 * r1.sq + a2 * r2.sq
+    # (h, p0, sq) fix a row: equal triples are one kernel (MG, RL and Brownian meet at H = 1/2)
+    same = r1[:3] == r2[:3]
+
+    def report(g: QuadratureGrid) -> DistanceReport:
+        nodes = 16 * max(g.n_s // 16, 2)
+        cross = f12 * (r1.sq if same else _self_similar_cross(r1, r2, nodes))
+        dist = trace - 2.0 * cross
+        if dist < 0.0:
+            if dist < -4.0 * np.finfo(float).eps * trace:
+                raise ConvergenceError(f"self-similar distance {dist:.3e} is below 0 by more "
+                                       f"than rounding of the trace term {trace:.3e}")
+            dist = 0.0
+        return DistanceReport(distance_squared=dist, trace_term=trace, cross_term=cross,
+                              optimal_correlation=np.ones(nodes),
+                              grid_meta={"n_s": nodes, "n_t": None, "scheme": "self_similar",
+                                         "h1": r1.h, "h2": r2.h, "T": T})
+    return _run_with_crosscheck(report, grid)
 
 
 def continuous_aw_fbm(h1: float, h2: float, T: float = 1.0,
                       grid: QuadratureGrid | None = None) -> DistanceReport:
-    """Squared adapted Wasserstein distance between fractional Brownian motions.
-
-    Molchan-Golosov kernels are positive (optimal sign +1) and homogeneous, so the
-    t-integral is exact: AW2 = A1 + A2 - 2 c12 T^(H1+H2+1)/(H1+H2+1), Ai = T^(2Hi+1)/(2Hi+1),
-    c12 = int_0^1 k1(1, s) k2(1, s) ds (1 at H1 = H2, where AW2 is exactly 0) on
-    :func:`_fbm_cross`'s rule of ``grid.n_s`` nodes (a multiple of 16, at least 32).
-    ``n_t`` does not apply (None in ``grid_meta``); ``crosscheck_rtol`` compares with the
-    rule of half the nodes.  Other specs go through :func:`continuous_aw_unit`'s 2-D core.
-    """
-    fbm_spec(h1, T), fbm_spec(h2, T)  # validates the Hurst parameters and the horizon
-    a, b, c = (T ** (e + 1.0) / (e + 1.0) for e in (2.0 * h1, 2.0 * h2, h1 + h2))
-
-    def report(g: QuadratureGrid) -> DistanceReport:
-        nodes = 16 * max(g.n_s // 16, 2)
-        cross = c * (1.0 if h1 == h2 else _fbm_cross(h1, h2, nodes))
-        return DistanceReport(distance_squared=a + b - 2.0 * cross, trace_term=a + b,
-                              cross_term=cross, optimal_correlation=np.ones(nodes),
-                              grid_meta={"n_s": nodes, "n_t": None, "scheme": "self_similar",
-                                         "h1": h1, "h2": h2, "T": T})
-    return _run_with_crosscheck(report, grid or QuadratureGrid())
+    """Squared adapted Wasserstein distance between fractional Brownian motions:
+    :func:`continuous_aw_multi` on ``fbm_spec(h1, T)`` and ``fbm_spec(h2, T)``, which
+    takes the self-similar 1-D rule of :func:`_self_similar`."""
+    return continuous_aw_multi(fbm_spec(h1, T), fbm_spec(h2, T), grid)
 
 
 def triangular_integral(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,

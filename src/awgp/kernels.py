@@ -16,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,7 +120,12 @@ def eval_mg_kernel(h: float, t, s):
 
 def _rl_core(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Riemann-Liouville kernel for 0 <= s <= t only (0 on a divergent diagonal); no validation."""
-    return _diag_power(t - s, h - 0.5) / gamma_fn(h + 0.5)
+    return _rl_at(h, t - s)
+
+
+def _rl_at(h: float, d: np.ndarray) -> np.ndarray:
+    """Riemann-Liouville kernel from d = t - s >= 0 on flat arrays; no validation."""
+    return _diag_power(d, h - 0.5) / gamma_fn(h + 0.5)
 
 
 def eval_rl_kernel(h: float, t, s):
@@ -397,6 +402,33 @@ def _same_kernels(ks1: Sequence[VolterraKernel], ks2: Sequence[VolterraKernel]) 
         for a, b in zip(ks1, ks2))
 
 
+class _UnitRow(NamedTuple):
+    """Row k(1, s) of a kernel homogeneous under time scaling, k(ct, cs) = c^(h - 1/2) k(t, s).
+
+    ``at(s, d)`` evaluates it on flat arrays of s and d = 1 - s; it behaves as s^-p0 at
+    s -> 0 and as d^(h - 1/2) at s -> 1, and ``sq`` = int_0^1 k(1, s)^2 ds.
+    """
+
+    h: float
+    p0: float
+    sq: float
+    at: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _unit_row(kernel: VolterraKernel) -> _UnitRow | None:
+    """The row of a Molchan-Golosov, Riemann-Liouville or Brownian kernel; None for any other."""
+    kind = type(kernel)
+    if kind is MolchanGolosov:
+        h = float(kernel.h)
+        return _UnitRow(h, abs(h - 0.5), 1.0, lambda s, d: _mg_at(h, -d / s, d))
+    if kind is RiemannLiouville:
+        h = float(kernel.h)
+        return _UnitRow(h, 0.0, 1.0 / (2.0 * h * gamma_fn(h + 0.5) ** 2), lambda s, d: _rl_at(h, d))
+    if kind is Brownian:
+        return _UnitRow(0.5, 0.0, 1.0, lambda s, d: np.ones(s.shape))
+    return None
+
+
 def load_tabulated_csv(path, T: float | None = None) -> Tabulated:
     """Load a tabulated kernel from CSV with header ``t,s,value``.
 
@@ -473,6 +505,10 @@ def cantor_function(t):
     return float(out[0]) if (np.isscalar(t) or np.asarray(t).ndim == 0) else out.reshape(np.shape(t))
 
 
+def _lebesgue_density(s: np.ndarray) -> np.ndarray:
+    return np.ones_like(s)
+
+
 @dataclass(frozen=True)
 class IntensityMeasure:
     """Quadratic-variation measure of a driving Gaussian martingale on [0, T].
@@ -488,7 +524,7 @@ class IntensityMeasure:
 
     @classmethod
     def lebesgue(cls) -> "IntensityMeasure":
-        return cls(density=lambda s: np.ones_like(s), name="lebesgue")
+        return cls(density=_lebesgue_density, name="lebesgue")
 
     @classmethod
     def from_density(cls, fn: Callable[[np.ndarray], np.ndarray], name: str = "custom") -> "IntensityMeasure":
@@ -501,6 +537,12 @@ class IntensityMeasure:
     @property
     def is_singular(self) -> bool:
         return self.singular_tag is not None
+
+    @property
+    def is_lebesgue(self) -> bool:
+        """Built by :meth:`lebesgue`, known by its density: ``name`` defaults to "lebesgue"
+        whatever the density."""
+        return self.density is _lebesgue_density
 
     def density_at(self, s: np.ndarray) -> np.ndarray:
         if self.is_singular:

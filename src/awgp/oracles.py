@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
@@ -26,8 +27,8 @@ from .errors import DomainError
 from .fsde import _BLOCK, CouplingControl, _coupling, _noise_block
 from .gauss_aw import (TriangularFactor, cholesky_causal_factor, continuous_aw_unit,
                        _eval_components, _psd_sqrt, _t_matrix)
-from .kernels import (GaussianProcessSpec, IntensityMeasure, VolterraKernel, _mg_const,
-                      covariance, eval_fou_kernel, fbm_spec)
+from .kernels import (GaussianProcessSpec, IntensityMeasure, MolchanGolosov, VolterraKernel,
+                      _mg_const, covariance, eval_fou_kernel, fbm_spec)
 from .mart_approx import mart_approx_distance, optimal_volatility
 from .quadrature import QuadratureGrid, gauss_jacobi_power, graded_gauss, graded_midpoint
 
@@ -276,20 +277,40 @@ def _mp_mg_kernel(hh, s, d):
     return const * d ** (hh - half) * mp.hyp2f1(hh - half, half - hh, hh + half, -d / s)
 
 
-def fbm_aw_reference(h1: float, h2: float, T: float = 1.0, dps: int = 20) -> float:
-    """AW2 between fBMs by the self-similar reduction, c12 by mpmath tanh-sinh on each half
-    of (0, 1); each half substitutes x^10 / 2 for the distance to its end, which bounds every
-    endpoint power for H in [0.05, 0.95], and evaluates the kernel from that offset."""
+def _mp_unit_row(kernel):
+    """(H, int_0^1 k(1, s)^2 ds, k(1, s) from (s, d = 1 - s)) in the working precision for a
+    Molchan-Golosov, Riemann-Liouville or Brownian kernel, or the Hurst index of the first."""
+    half = mp.mpf(1) / 2
+    if isinstance(kernel, numbers.Real):
+        kernel = MolchanGolosov(h=float(kernel))
+    if kernel.kind == "brownian":
+        return half, mp.mpf(1), lambda s, d: mp.mpf(1)
+    h = mp.mpf(repr(float(kernel.h)))
+    if kernel.kind == "molchan_golosov":  # Var B_H(1) = 1
+        return h, mp.mpf(1), lambda s, d: _mp_mg_kernel(h, s, d)
+    if kernel.kind == "riemann_liouville":
+        gam = mp.gamma(h + half)
+        return h, 1 / (2 * h * gam ** 2), lambda s, d: d ** (h - half) / gam
+    raise DomainError(f"no self-similar reference for a {kernel.kind} kernel")
+
+
+def fbm_aw_reference(h1, h2, T: float = 1.0, dps: int = 20) -> float:
+    """AW2 between two homogeneous kernels on the Lebesgue measure by the self-similar
+    reduction, c12 by mpmath tanh-sinh on each half of (0, 1); each half substitutes x^10 / 2
+    for the distance to its end, which bounds every endpoint power for H in [0.05, 0.95],
+    and evaluates the rows from that offset.  ``h1`` and ``h2`` are each a Hurst index (of
+    fBM) or a Molchan-Golosov, Riemann-Liouville or Brownian kernel."""
     with mp.workdps(dps):
-        a, b, tt = (mp.mpf(repr(float(v))) for v in (h1, h2, T))
+        (a, c11, row1), (b, c22, row2) = _mp_unit_row(h1), _mp_unit_row(h2)
+        tt = mp.mpf(repr(float(T)))
 
         def f(x, at_one: bool):
             e = x ** 10 / 2
             s, d = (1 - e, e) if at_one else (e, 1 - e)
-            return 5 * x ** 9 * _mp_mg_kernel(a, s, d) * _mp_mg_kernel(b, s, d)
+            return 5 * x ** 9 * row1(s, d) * row2(s, d)
 
         c12 = sum(mp.quad(lambda x: f(x, at_one), [0, 1]) for at_one in (False, True))
-        return float(sum(tt ** (2 * h + 1) / (2 * h + 1) for h in (a, b))
+        return float(c11 * tt ** (2 * a + 1) / (2 * a + 1) + c22 * tt ** (2 * b + 1) / (2 * b + 1)
                      - 2 * c12 * tt ** (a + b + 1) / (a + b + 1))
 
 

@@ -181,6 +181,21 @@ class TestAwUnitMulti:
             main(["aw-unit", "--config", str(cfg)])
         assert exc.value.code == 2
 
+    # np.interp needs increasing abscissae and would silently interpolate anything else
+    @pytest.mark.parametrize("component", [
+        {"kernel": {"kind": "constant_volatility", "s": [0.5, 0.0, 1.0], "rho": [1, 2, 3]}},
+        {"kernel": {"kind": "constant_volatility", "s": [0.0, 0.5, 1.0], "rho": [1, None, 3]}},
+        {"kernel": "brownian", "measure": {"kind": "tabulated", "s": [0.0, 0.0, 1.0],
+                                           "rho": [1, 2, 3]}},
+    ], ids=["kernel-unordered", "kernel-nan", "measure-repeated"])
+    def test_bad_interpolation_table_exit_2(self, component, spec_files, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"T": 1.0, "components": [component]}))
+        code, out, err = run_cli(capsys, "aw-unit", "--spec1", str(bad), "--spec2",
+                                 spec_files[0], "--grid", "32")
+        assert code == 2 and out == ""
+        assert "validation error" in err
+
 
 # each subcommand takes only the common flags its handler reads
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
@@ -318,6 +333,17 @@ class TestSimulate:
             "length-mismatch"])
     def test_bad_control_exit_2(self, tmp_path, capsys, control):
         sc = _scenario(tmp_path, controls=["synchronous", control])
+        code, out, err = run_cli(capsys, "simulate", "--scenario", sc)
+        assert code == 2 and out == ""
+        assert "validation error" in err
+
+
+    @pytest.mark.parametrize("overrides", [
+        {"drift1": {"name": "tabulated", "x": [1.0, -1.0], "y": [0.0, 1.0]}},
+        {"sigma2": {"name": "tabulated", "x": [-1.0, 1.0], "y": [1.0, None]}},
+    ], ids=["drift-unordered", "diffusion-nan"])
+    def test_bad_interpolation_table_exit_2(self, tmp_path, capsys, overrides):
+        sc = _scenario(tmp_path, controls=["synchronous"], **overrides)
         code, out, err = run_cli(capsys, "simulate", "--scenario", sc)
         assert code == 2 and out == ""
         assert "validation error" in err

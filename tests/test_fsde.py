@@ -512,3 +512,13 @@ class TestRegistry:
     def test_tabulated_fn(self):
         drift, _ = make_drift({"name": "tabulated", "x": [0.0, 1.0], "y": [0.0, 2.0]})
         assert drift(0.5) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("x,y", [([0.5, 0.0, 1.0], [1.0, 2.0, 3.0]),
+                                     ([0.0, 0.0, 1.0], [1.0, 2.0, 3.0]),
+                                     ([0.0, float("nan")], [1.0, 2.0]),
+                                     ([0.0, 1.0], [1.0, float("inf")]),
+                                     ([0.0, 1.0], [1.0]), ([], [])])
+    def test_tabulated_fn_rejects_bad_tables(self, x, y):
+        for make in (make_drift, make_diffusion):
+            with pytest.raises(DomainError, match="table"):
+                make({"name": "tabulated", "x": x, "y": y})

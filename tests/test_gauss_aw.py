@@ -1,12 +1,15 @@
 import json
 import tracemalloc
+from math import gamma
 
 import numpy as np
 import pytest
 
+from awgp import gauss_aw
 from awgp.errors import ConvergenceError, DomainError, NotPositiveDefiniteError
-from awgp.gauss_aw import (CovMatrix, DistanceReport, _densities, _eval_components, _nodes,
-                           _pair_gammas, _trace_term, cholesky_causal_factor, continuous_aw_fbm,
+from awgp.gauss_aw import (CovMatrix, DistanceReport, _densities, _distance_core,
+                           _eval_components, _nodes, _pair_gammas, _run_with_crosscheck,
+                           _trace_term, cholesky_causal_factor, continuous_aw_fbm,
                            continuous_aw_multi, continuous_aw_unit, discrete_aw,
                            discretized_fbm_aw, fbm_cov_matrix, levy_noncanonical_check,
                            trace_bound_optimal_gamma, triangular_integral)
@@ -15,6 +18,11 @@ from awgp.kernels import (Brownian, CallableKernel, ConstantVolatility, Gaussian
                           cantor_martingale_spec, eval_mg_kernel, fbm_spec, fou_spec)
 from awgp.oracles import bruteforce_discrete_cross_term, get_golden, psd_feasibility_sampler
 from awgp.quadrature import QuadratureGrid
+
+
+def core(s1, s2, grid):
+    """The 2-D quadrature core, which the entry points skip for homogeneous kernels."""
+    return _run_with_crosscheck(lambda g: _distance_core(s1, s2, g), grid)
 
 
 def random_spd(rng, n):
@@ -211,17 +219,17 @@ class TestContinuousUnit:
 
     def test_crosscheck_passes_and_fails(self):
         ok = QuadratureGrid(n_s=128, n_t=128, crosscheck_rtol=1e-2)
-        rep = continuous_aw_unit(fbm_spec(0.5), fbm_spec(0.75), ok)
+        rep = core(fbm_spec(0.5), fbm_spec(0.75), ok)
         assert "crosscheck_rel" in rep.grid_meta
         unreachable = QuadratureGrid(n_s=128, n_t=128, crosscheck_rtol=1e-15)
         with pytest.raises(ConvergenceError):
-            continuous_aw_unit(fbm_spec(0.5), fbm_spec(0.75), unreachable)
+            core(fbm_spec(0.5), fbm_spec(0.75), unreachable)
 
     def test_crosscheck_flags_the_rough_pair(self):
         # at grid 512 this distance is 2.4% low, and its half-grid gap is 3.9e-4
         with pytest.raises(ConvergenceError, match="half-grid"):
-            continuous_aw_unit(fbm_spec(0.05), fbm_spec(0.95),
-                               QuadratureGrid(n_s=512, n_t=512, crosscheck_rtol=1e-4))
+            core(fbm_spec(0.05), fbm_spec(0.95),
+                 QuadratureGrid(n_s=512, n_t=512, crosscheck_rtol=1e-4))
 
     def test_cantor_example(self):
         bm = GaussianProcessSpec(
@@ -269,7 +277,7 @@ class TestContinuousFbm:
         # golden's tolerance
         for h1, h2 in [(0.5, 0.75), (0.6, 0.75)]:
             a = continuous_aw_fbm(h1, h2, 1.0)
-            b = continuous_aw_unit(fbm_spec(h1), fbm_spec(h2), QuadratureGrid(n_s=512, n_t=512))
+            b = core(fbm_spec(h1), fbm_spec(h2), QuadratureGrid(n_s=512, n_t=512))
             assert a.distance_squared == pytest.approx(b.distance_squared, rel=1e-4)
 
     def test_label_swap_is_bitwise(self):
@@ -325,6 +333,75 @@ class TestContinuousFbm:
                 call()
 
 
+class TestSelfSimilarRoute:
+    @pytest.mark.parametrize("kernel", [MolchanGolosov(T=2.0, h=0.3),
+                                        RiemannLiouville(T=2.0, h=0.3), Brownian(T=2.0)],
+                             ids=["mg", "rl", "bm"])
+    def test_chosen_for_homogeneous_kernels_on_lebesgue(self, kernel):
+        for aw in (continuous_aw_unit, continuous_aw_multi):
+            rep = aw(_unit(kernel, T=2.0), fbm_spec(0.7, T=2.0), QuadratureGrid(n_s=64, n_t=8))
+            assert rep.grid_meta["scheme"] == "self_similar" and rep.grid_meta["n_t"] is None
+
+    @pytest.mark.parametrize("spec", [
+        lambda: _unit(MolchanGolosov(T=1.0, h=0.3), IntensityMeasure(density=np.ones_like)),
+        lambda: _unit(MolchanGolosov(T=1.0, h=0.3), IntensityMeasure.from_density(np.ones_like)),
+        lambda: fou_spec(0.3, 1.0),
+        lambda: _unit(ConstantVolatility(T=1.0)),
+        lambda: GaussianProcessSpec(components=[(Brownian(T=1.0), IntensityMeasure.lebesgue()),
+                                                (Brownian(T=1.0), IntensityMeasure.lebesgue())],
+                                    T=1.0),
+        lambda: cantor_martingale_spec(),
+    ], ids=["named-lebesgue-own-density", "from-density", "fou", "cv", "two-components",
+            "cantor"])
+    def test_other_specs_keep_the_core(self, spec):
+        s = spec()
+        grid = QuadratureGrid(n_s=32, n_t=32)
+        rep = continuous_aw_multi(s, fbm_spec(0.6), grid)
+        assert rep.grid_meta["scheme"] == "midpoint"
+        assert rep.distance_squared == core(s, fbm_spec(0.6), grid).distance_squared
+
+    def test_exact_trace_terms(self):
+        # int_0^T t^(2H) dt times int_0^1 k(1, s)^2 ds, and T^2 / 2 for the Brownian partner
+        T, h = 2.0, 0.3
+        rough, half = T ** (2 * h + 1) / (2 * h + 1), T * T / 2
+        for kernel, expect in ((MolchanGolosov(T=T, h=h), rough),
+                               (RiemannLiouville(T=T, h=h), rough / (2 * h * gamma(h + 0.5) ** 2)),
+                               (Brownian(T=T), half)):
+            rep = continuous_aw_unit(_unit(kernel, T=T), _unit(Brownian(T=T), T=T))
+            assert rep.trace_term == pytest.approx(expect + half, rel=1e-15)
+
+    def test_half_is_the_brownian_kernel(self):
+        # the MG and RL kernels at H = 1/2 are the Brownian kernel 1: equal laws
+        kernels = [MolchanGolosov(T=1.0, h=0.5), RiemannLiouville(T=1.0, h=0.5), Brownian(T=1.0)]
+        for k1 in kernels:
+            for k2 in kernels:
+                assert continuous_aw_unit(_unit(k1), _unit(k2)).distance_squared == 0.0
+
+    def test_report_fields_are_python_floats(self):
+        reps = [continuous_aw_fbm(np.float64(0.3), 0.7),
+                continuous_aw_fbm(0.3, 0.7, np.float64(1.0)),
+                continuous_aw_unit(_unit(RiemannLiouville(T=1.0, h=np.float64(0.4))),
+                                   _unit(MolchanGolosov(T=1.0, h=np.float32(0.6))))]
+        for rep in reps:
+            fields = (rep.distance_squared, rep.trace_term, rep.cross_term,
+                      rep.grid_meta["h1"], rep.grid_meta["h2"], rep.grid_meta["T"])
+            assert all(type(v) is float for v in fields)
+
+    @pytest.mark.parametrize("h,dh", [(0.22, 1e-9), (0.34, 1e-8)])
+    def test_close_hurst_never_negative(self, h, dh):
+        # trace - 2 cross misses 0 by rounding here; the report reads that miss as 0
+        rep = continuous_aw_unit(fbm_spec(h), fbm_spec(h + dh))
+        assert rep.distance_squared >= 0.0
+        assert abs(rep.distance_squared - (rep.trace_term - 2.0 * rep.cross_term)) \
+            <= 4.0 * np.finfo(float).eps * rep.trace_term
+
+    def test_negative_beyond_rounding_raises(self, monkeypatch):
+        # a rule 1% high on c12 puts trace - 2 cross far below 0
+        monkeypatch.setattr(gauss_aw, "_self_similar_cross", lambda r1, r2, n: 1.01)
+        with pytest.raises(ConvergenceError, match="below 0"):
+            continuous_aw_unit(fbm_spec(0.5), fbm_spec(0.6))
+
+
 class TestEqualKernelsEvaluatedOnce:
     @staticmethod
     def _count(monkeypatch, cls):
@@ -335,11 +412,11 @@ class TestEqualKernelsEvaluatedOnce:
 
     def test_equal_fbm_pair(self, monkeypatch):
         calls = self._count(monkeypatch, MolchanGolosov)
-        rep = continuous_aw_unit(fbm_spec(0.6), fbm_spec(0.6), QuadratureGrid(n_s=64, n_t=64))
+        rep = core(fbm_spec(0.6), fbm_spec(0.6), QuadratureGrid(n_s=64, n_t=64))
         assert len(calls) == 1
         assert rep.distance_squared == 0.0
         calls.clear()
-        continuous_aw_unit(fbm_spec(0.6), fbm_spec(0.7), QuadratureGrid(n_s=64, n_t=64))
+        core(fbm_spec(0.6), fbm_spec(0.7), QuadratureGrid(n_s=64, n_t=64))
         assert len(calls) == 2
 
     def test_cantor_pair(self, monkeypatch):
@@ -521,26 +598,29 @@ def _unit_report_before_shared_reduction(spec1, spec2, grid):
     return dist, trace, cross, corr
 
 
-def _unit(kernel, measure=None):
+def _unit(kernel, measure=None, T=1.0):
     return GaussianProcessSpec(components=[(kernel, measure or IntensityMeasure.lebesgue())],
-                               T=1.0)
+                               T=T)
 
 
 class TestContinuousMulti:
-    @pytest.mark.parametrize("pair", [
-        lambda: (fbm_spec(0.3), fbm_spec(0.8)),
-        lambda: (fbm_spec(0.7), _unit(RiemannLiouville(T=1.0, h=0.4))),
-        lambda: (fbm_spec(0.6), fou_spec(0.6, 1.5)),
-        lambda: (_unit(ConstantVolatility(T=1.0, rho=lambda s: 1.0 + 0.5 * s),
-                       IntensityMeasure.from_density(lambda s: 0.5 + 2.0 * s * s)),
-                 _unit(Brownian(T=1.0))),
-        lambda: (cantor_martingale_spec(), cantor_martingale_spec()),
+    # homogeneous pairs (fbm, mg-rl) take the self-similar rule from the entry points,
+    # so the 2-D core is checked on them directly
+    @pytest.mark.parametrize("pair,entries", [
+        (lambda: (fbm_spec(0.3), fbm_spec(0.8)), (core,)),
+        (lambda: (fbm_spec(0.7), _unit(RiemannLiouville(T=1.0, h=0.4))), (core,)),
+        (lambda: (fbm_spec(0.6), fou_spec(0.6, 1.5)), (continuous_aw_unit, continuous_aw_multi)),
+        (lambda: (_unit(ConstantVolatility(T=1.0, rho=lambda s: 1.0 + 0.5 * s),
+                        IntensityMeasure.from_density(lambda s: 0.5 + 2.0 * s * s)),
+                  _unit(Brownian(T=1.0))), (continuous_aw_unit, continuous_aw_multi)),
+        (lambda: (cantor_martingale_spec(), cantor_martingale_spec()),
+         (continuous_aw_unit, continuous_aw_multi)),
     ], ids=["fbm", "mg-rl", "fbm-fou", "cv-poly-brownian", "cantor-cantor"])
-    def test_unit_bitwise_as_before_shared_reduction(self, pair):
+    def test_unit_bitwise_as_before_shared_reduction(self, pair, entries):
         spec1, spec2 = pair()
         grid = QuadratureGrid(n_s=64, n_t=64)
         dist, trace, cross, corr = _unit_report_before_shared_reduction(spec1, spec2, grid)
-        for aw in (continuous_aw_unit, continuous_aw_multi):
+        for aw in entries:
             rep = aw(spec1, spec2, grid)
             assert (rep.distance_squared, rep.trace_term, rep.cross_term) == (dist, trace, cross)
             assert np.array_equal(rep.optimal_correlation, corr)

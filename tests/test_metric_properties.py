@@ -47,17 +47,23 @@ def processes(draw):
     return draw(kernels), draw(densities)
 
 
-def _spec(*processes, scale: float = 1.0) -> GaussianProcessSpec:
-    """One component per process; every density is positive, so any order is valid."""
-    c2 = scale * scale
+def _spec(*processes, scale: float | None = None) -> GaussianProcessSpec:
+    """One component per process; every density is positive, so any order is valid.
+
+    Unscaled, a None density is ``IntensityMeasure.lebesgue()``, on which homogeneous kernels
+    take the self-similar rule; scaled, every density is built from its coefficients."""
     components = []
     for kernel, dens in processes:
+        if dens is None and scale is None:
+            components.append((kernel, IntensityMeasure.lebesgue()))
+            continue
+        c2 = 1.0 if scale is None else scale * scale
         a, b = dens if dens is not None else (1.0, 0.0)
         components.append((kernel, IntensityMeasure.from_density(_affine(c2 * a, c2 * b))))
     return GaussianProcessSpec(components=components, T=1.0)
 
 
-def _aw(x, y, scale: float = 1.0):
+def _aw(x, y, scale: float | None = None):
     return continuous_aw_unit(_spec(x, scale=scale), _spec(y, scale=scale), GRID)
 
 
@@ -86,7 +92,7 @@ def test_self_distance_zero(x):
 @_SETTINGS
 @given(processes(), processes(), st.floats(0.1, 10.0))
 def test_homogeneous_of_degree_two(x, y, c):
-    base, scaled = _aw(x, y), _aw(x, y, scale=c)
+    base, scaled = _aw(x, y, scale=1.0), _aw(x, y, scale=c)
     assert abs(scaled.distance_squared - c * c * base.distance_squared) \
         <= 1e-12 * c * c * base.trace_term
 

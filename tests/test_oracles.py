@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from awgp.errors import DomainError
-from awgp.gauss_aw import _fbm_cross, cholesky_causal_factor, continuous_aw_fbm
-from awgp.kernels import IntensityMeasure, MolchanGolosov, covariance, fbm_spec
+from awgp.gauss_aw import (_fbm_cross, cholesky_causal_factor, continuous_aw_fbm,
+                           continuous_aw_unit)
+from awgp.kernels import (Brownian, GaussianProcessSpec, IntensityMeasure, MolchanGolosov,
+                          RiemannLiouville, covariance, fbm_spec)
 from awgp.oracles import (OracleVerdict, bruteforce_discrete_cross_term, cholesky_marginal_paths,
                           fbm_aw_reference, get_golden, load_goldens, mc_formula_check,
                           pointwise_optimal_correlation, psd_feasibility_sampler,
@@ -218,6 +221,53 @@ class TestFbmReference:
         for h in np.arange(0.05, 0.951, 0.05):
             for dh in (1e-2, 1e-4, 1e-6):
                 assert continuous_aw_fbm(h - dh, h, 1.0).distance_squared >= 0.0
+
+
+HS = [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95]
+HOMOGENEOUS_PAIRS = {
+    "mg-rl": lambda h1, h2: (MolchanGolosov(h=h1), RiemannLiouville(h=h2)),
+    "rl-rl": lambda h1, h2: (RiemannLiouville(h=h1), RiemannLiouville(h=h2)),
+    "rl-bm": lambda h1, h2: (RiemannLiouville(h=h1), Brownian()),
+    "mg-bm": lambda h1, h2: (MolchanGolosov(h=h1), Brownian()),
+}
+
+
+def _lebesgue(kernel, T=1.0):
+    return GaussianProcessSpec(components=[(kernel, IntensityMeasure.lebesgue())], T=T)
+
+
+class TestSelfSimilarReference:
+    """The self-similar route of the general entry point against the multiprecision
+    reduction, for every kind of homogeneous kernel."""
+
+    @pytest.mark.parametrize("pair", sorted(HOMOGENEOUS_PAIRS))
+    def test_route_matches(self, pair):
+        # H1 runs over the grid and H2 over it reversed; the Brownian pairs ignore H2
+        for h1, h2 in zip(HS, HS[::-1]):
+            k1, k2 = HOMOGENEOUS_PAIRS[pair](h1, h2)
+            rep = continuous_aw_unit(_lebesgue(k1), _lebesgue(k2), QuadratureGrid(n_s=256))
+            assert rep.grid_meta["scheme"] == "self_similar"
+            ref = fbm_aw_reference(k1, k2)
+            assert abs(rep.distance_squared - ref) <= 1e-12 * ref, (h1, h2)
+
+    @pytest.mark.parametrize("pair", sorted(HOMOGENEOUS_PAIRS))
+    def test_label_swap_is_bitwise(self, pair):
+        for h1, h2 in [(0.05, 0.95), (0.3, 0.7), (0.65, 0.35)]:
+            k1, k2 = HOMOGENEOUS_PAIRS[pair](h1, h2)
+            a = continuous_aw_unit(_lebesgue(k1), _lebesgue(k2))
+            b = continuous_aw_unit(_lebesgue(k2), _lebesgue(k1))
+            assert (a.distance_squared, a.trace_term, a.cross_term) == \
+                (b.distance_squared, b.trace_term, b.cross_term)
+
+    @pytest.mark.parametrize("kernel", [MolchanGolosov(h=0.3), RiemannLiouville(h=0.05),
+                                        RiemannLiouville(h=0.8), Brownian()],
+                             ids=["mg", "rl-rough", "rl-smooth", "bm"])
+    def test_equal_kernels_exactly_zero(self, kernel):
+        for T in (1.0, 2.7):
+            # two specs with equal kernels, each with its own measure object
+            k = dataclasses.replace(kernel, T=T)
+            assert continuous_aw_unit(_lebesgue(k, T), _lebesgue(k, T)).distance_squared == 0.0
+        assert abs(fbm_aw_reference(kernel, kernel)) <= 1e-14
 
 
 class TestGoldenRegistry:
