@@ -50,6 +50,8 @@ def _report_text(report: DistanceReport, fmt: str, correlations: bool = False) -
     lines = ["distance_squared,trace_term,cross_term",
              ",".join(_fmt(v) for v in (report.distance_squared, report.trace_term,
                                         report.cross_term))]
+    if "n_s" in report.grid_meta:  # the node count used, which a rule may round from --grid
+        lines.append(f"# n_s,{report.grid_meta['n_s']}")
     return "\n".join(lines)
 
 
@@ -59,6 +61,8 @@ def _grid_from_args(args) -> QuadratureGrid:
 
 def _parse_range(text: str) -> np.ndarray:
     lo, hi, count = text.split(":")
+    if int(count) < 1:
+        raise DomainError(f"sweep range {text!r} needs a count of at least 1")
     return np.linspace(float(lo), float(hi), int(count))
 
 
@@ -111,6 +115,7 @@ def _cmd_mart_approx(args) -> int:
     else:
         lines = [f"# distance_squared,{_fmt(res.distance_squared)}", "r,rho"]
         lines += [f"{_fmt(r)},{_fmt(v)}" for r, v in zip(res.r_nodes, res.rho)]
+        lines.append(f"# distance_nodes,{res.grid_meta['distance_nodes']}")
         _write("\n".join(lines), args.output)
     return 0
 

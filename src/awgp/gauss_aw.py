@@ -334,9 +334,10 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
                           grid_meta=meta)
 
 
-def _run_with_crosscheck(rule, grid: QuadratureGrid) -> DistanceReport:
-    """``rule(grid)``'s report; with ``grid.crosscheck_rtol`` set, its distance is checked
-    against the same rule at half ``n_s`` and ``n_t`` (at least 4 each), a quarter of the cost."""
+def _run_with_crosscheck(rule, grid: QuadratureGrid):
+    """``rule(grid)``'s result (a report with ``distance_squared``, ``trace_term`` and
+    ``grid_meta``); with ``grid.crosscheck_rtol`` set, its distance is checked against the same
+    rule at half ``n_s`` and ``n_t`` (at least 4 each), a quarter of the cost."""
     report = rule(grid)
     rtol = grid.crosscheck_rtol
     if rtol is not None:
@@ -384,24 +385,52 @@ def _lebesgue_row(spec: GaussianProcessSpec) -> _UnitRow | None:
     return _unit_row(kernel) if measure.is_lebesgue else None
 
 
-def _self_similar_cross(r1: _UnitRow, r2: _UnitRow, n: int) -> float:
-    """c12 = int_0^1 k1(1, s) k2(1, s) ds on n // 16 Gauss-Legendre panels of order 16, graded
-    by 1/4 toward both ends; an end's innermost panel [0, eps] takes eps v^p, p = q/(beta+1),
-    for the product's power x^beta there (now v^(q-1)), q = 4 unless p would pass 12, down to
-    q = 1: a steeper p pushes the next powers beyond the panel's degree.  The s -> 1 half
-    is built as offsets d = 1 - s."""
-    x, w = np.polynomial.legendre.leggauss(16)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
+_X16, _W16 = np.polynomial.legendre.leggauss(16)
+_X16, _W16 = 0.5 * (_X16 + 1.0), 0.5 * _W16  # the 16-point Gauss-Legendre rule on [0, 1]
+
+
+def _unit_rule_size(n: int) -> int:
+    """Node count of :func:`_graded_unit_nodes` asked for ``n``: a multiple of 16, at least 32."""
+    return 16 * max(n // 16, 2)
+
+
+def _graded_unit_nodes(beta0: float, beta1: float, n: int
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes s, offsets d = 1 - s and weights of a rule on [0, 1] for an integrand that behaves
+    as s^beta0 at s -> 0 and as d^beta1 at s -> 1: n // 16 Gauss-Legendre panels of order 16,
+    graded by 1/4 toward both ends; an end's innermost panel [0, eps] takes eps v^p,
+    p = q/(beta+1) (the power now v^(q-1)), q = 4 unless p would pass 12, down to q = 1: a
+    steeper p pushes the next powers beyond the panel's degree.  The s -> 1 half is built as
+    offsets, so d is exact where s rounds to 1."""
+    x, w = _X16, _W16
     u, wu = [], []  # distances to the end and weights, the s -> 0 end first
-    for beta, m in ((-(r1.p0 + r2.p0), n // 16 - n // 32), (r1.h + r2.h - 1.0, n // 32)):
+    for beta, m in ((beta0, n // 16 - n // 32), (beta1, n // 32)):
         # past 60 levels the ratio widens, and the cap on p keeps eps v^p a normal float
         edges = 0.5 * 0.25 ** (np.arange(m) * min(1.0, 60.0 / m))
         q = min(4, max(1, int(12.0 * (beta + 1.0))))
         lo, span, p = edges[1:, None], -np.diff(edges)[:, None], min(q / (beta + 1.0), 100.0)
-        u.append(np.r_[(lo + span * x).ravel(), edges[-1] * x ** p])
-        wu.append(np.r_[(span * w).ravel(), edges[-1] * p * x ** (p - 1.0) * w])
-    s, d = np.r_[u[0], 1.0 - u[1]], np.r_[1.0 - u[0], u[1]]
-    return float(np.r_[wu[0], wu[1]] @ (r1.at(s, d) * r2.at(s, d)))
+        u.append(np.concatenate([(lo + span * x).ravel(), edges[-1] * x ** p]))
+        wu.append(np.concatenate([(span * w).ravel(), edges[-1] * p * x ** (p - 1.0) * w]))
+    return (np.concatenate([u[0], 1.0 - u[1]]), np.concatenate([1.0 - u[0], u[1]]),
+            np.concatenate(wu))
+
+
+def _self_similar_cross(r1: _UnitRow, r2: _UnitRow, n: int) -> float:
+    """c12 = int_0^1 k1(1, s) k2(1, s) ds on the n nodes of :func:`_graded_unit_nodes`, with the
+    product's end powers: s^-(p0_1 + p0_2) and d^(h1 + h2 - 1)."""
+    s, d, w = _graded_unit_nodes(-(r1.p0 + r2.p0), r1.h + r2.h - 1.0, n)
+    return float(w @ (r1.at(s, d) * r2.at(s, d)))
+
+
+def _clamped_at_zero(dist: float, trace: float) -> float:
+    """A squared distance computed as a difference: a value within 4 eps of ``trace`` below 0
+    is rounding and reads 0; one further below raises ConvergenceError."""
+    if dist < 0.0:
+        if dist < -4.0 * np.finfo(float).eps * trace:
+            raise ConvergenceError(f"distance {dist:.3e} is below 0 by more than rounding of "
+                                   f"the trace term {trace:.3e}")
+        dist = 0.0
+    return dist
 
 
 def _fbm_cross(h1: float, h2: float, n: int) -> float:
@@ -426,15 +455,10 @@ def _self_similar(r1: _UnitRow, r2: _UnitRow, T: float, grid: QuadratureGrid) ->
     same = r1[:3] == r2[:3]
 
     def report(g: QuadratureGrid) -> DistanceReport:
-        nodes = 16 * max(g.n_s // 16, 2)
+        nodes = _unit_rule_size(g.n_s)
         cross = f12 * (r1.sq if same else _self_similar_cross(r1, r2, nodes))
-        dist = trace - 2.0 * cross
-        if dist < 0.0:
-            if dist < -4.0 * np.finfo(float).eps * trace:
-                raise ConvergenceError(f"self-similar distance {dist:.3e} is below 0 by more "
-                                       f"than rounding of the trace term {trace:.3e}")
-            dist = 0.0
-        return DistanceReport(distance_squared=dist, trace_term=trace, cross_term=cross,
+        return DistanceReport(distance_squared=_clamped_at_zero(trace - 2.0 * cross, trace),
+                              trace_term=trace, cross_term=cross,
                               optimal_correlation=np.ones(nodes),
                               grid_meta={"n_s": nodes, "n_t": None, "scheme": "self_similar",
                                          "h1": r1.h, "h2": r2.h, "T": T})

@@ -322,6 +322,14 @@ def _mg_forward_mean(h: float, r: float, T: float) -> float:
     return _mg_const(h) * val / (T - r)
 
 
+def _mart_distance_reference(h: float, T: float) -> float:
+    """Best-martingale distance by nested QUADPACK: int_0^T int_r^T (k - rho)^2 ds dr =
+    int_0^T Var B_H(s) ds - int_0^T (T - r) rho_H(r)^2 dr, rho_H from :func:`_mg_forward_mean`."""
+    return T ** (2 * h + 1) / (2 * h + 1) - quad(
+        lambda r: (T - r) * _mg_forward_mean(h, r, T) ** 2, 0.0, T,
+        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
 def regenerate_goldens(path) -> dict:
     """Re-derive every golden value from its oracle and write the registry to ``path``.
 
@@ -387,22 +395,18 @@ def regenerate_goldens(path) -> dict:
     tri_oracle = float(np.sqrt(np.sum(inner ** 2 * w[:, None] * w[None, :])))
     put("triangular_p1_bm", tri_oracle, "direct_2d_quadrature", {"n": 2048})
 
-    # best martingale approximation at H = 0.7, frozen after the midpoint rule agrees with it
+    # best martingale approximation at H = 0.7, frozen after the cumulative rule agrees with it
     h, r, T = 0.7, 0.5, 1.0
     rho = _mg_forward_mean(h, r, T)
-    gap = abs(optimal_volatility(h, r, T, quad_nodes=1024) - rho)
-    if gap > 1e-6:
+    gap = abs(optimal_volatility(h, r, T) - rho)
+    if gap > 1e-10:
         raise DomainError(f"optimal volatility oracle gap {gap:.3e} during regeneration")
     put("rho_h070_r050_T1", rho, "quadpack_algebraic_weight",
-        {"epsrel": 1e-13, "abs_gap_rule_1024": gap})
+        {"epsrel": 1e-13, "abs_gap_rule": gap})
 
-    # int_0^T int_r^T (k - rho)^2 ds dr = int_0^T Var B_H(s) ds - int_0^T (T - r) rho(r)^2 dr
-    dist = T ** (2 * h + 1) / (2 * h + 1) - quad(
-        lambda r: (T - r) * _mg_forward_mean(h, r, T) ** 2, 0.0, T,
-        epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    gap = abs(mart_approx_distance(h, T, QuadratureGrid(n_s=512, n_t=512)).distance_squared
-              - dist) / dist
-    if gap > 2e-4:
+    dist = _mart_distance_reference(h, T)
+    gap = abs(mart_approx_distance(h, T, QuadratureGrid(n_s=512)).distance_squared - dist) / dist
+    if gap > 1e-10:
         raise DomainError(f"martingale distance oracle gap {gap:.3e} during regeneration")
     put("mart_dist_h070_T1", dist, "quadpack_nested", {"epsrel": 1e-13, "rel_gap_rule_512": gap})
 

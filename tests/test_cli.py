@@ -58,6 +58,27 @@ class TestAwFbm:
         first = lines[1].split(",")
         assert float(first[0]) == 0.5 and float(first[2]) == 0.0
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_sweep_exit_2(self, tmp_path, capsys, count):
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "aw-fbm", "--sweep", "--h1-range", f"0.1:0.9:{count}",
+                               "--output", str(out_path))
+        assert code == 2
+        assert "count" in err and not out_path.exists()
+
+    def test_csv_states_the_node_count(self, capsys):
+        # the self-similar rule rounds --grid to a multiple of 16, at least 32; the header
+        # stays first
+        outs = {}
+        for grid in ("1", "2", "100"):
+            code, out, _ = run_cli(capsys, "aw-fbm", "--h1", "0.3", "--h2", "0.7",
+                                   "--grid", grid, "--format", "csv")
+            assert code == 0
+            outs[grid] = out.strip().splitlines()
+            assert outs[grid][0] == "distance_squared,trace_term,cross_term"
+        assert outs["1"] == outs["2"] and outs["1"][-1] == "# n_s,32"
+        assert outs["100"][-1] == "# n_s,96"
+
     def test_default_sweep_is_symmetric_with_zero_diagonal(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         code, _, _ = run_cli(capsys, "aw-fbm", "--sweep", "--output", str(out_path))
@@ -253,7 +274,19 @@ class TestMartApprox:
         lines = out.strip().splitlines()
         assert lines[0].startswith("# distance_squared,")
         assert lines[1] == "r,rho"
-        assert len(lines) == 18
+        assert len(lines) == 19
+        assert lines[-1] == "# distance_nodes,32"
+
+    def test_json_records_distance_nodes(self, capsys):
+        code, out, _ = run_cli(capsys, "mart-approx", "--h", "0.7", "--grid", "100")
+        assert code == 0
+        assert json.loads(out)["grid_meta"] == {"distance_nodes": 96}
+
+    @pytest.mark.parametrize("T", ["0", "-1", "nan", "inf"])
+    def test_bad_horizon_exit_2(self, capsys, T):
+        code, _, err = run_cli(capsys, "mart-approx", "--h", "0.7", "--T", T)
+        assert code == 2
+        assert "horizon" in err
 
 
 def _scenario(tmp_path, **overrides):
