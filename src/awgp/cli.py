@@ -177,7 +177,8 @@ _READ_FLAGS = {
 
 def _add_common(p: argparse.ArgumentParser, *reads: str) -> None:
     """Add the flags every subcommand takes and the ``_READ_FLAGS`` named in ``reads``,
-    those its handler reads: a subcommand accepts no flag it would ignore."""
+    those its handler reads.  Only ``simulate`` reads ``--threads``; the others accept it
+    and ignore it."""
     p.add_argument("--output", help="output file (default stdout)")
     for name in reads:
         p.add_argument("--" + name, **_READ_FLAGS[name])
@@ -185,7 +186,8 @@ def _add_common(p: argparse.ArgumentParser, *reads: str) -> None:
     # $AWGP_THREADS is a usage error (exit 2) like a bad flag
     p.add_argument("--threads", type=_positive_int,
                    default=os.environ.get("AWGP_THREADS") or "1",
-                   help="worker-thread cap (default $AWGP_THREADS or 1)")
+                   help="worker-thread cap of simulate, which alone reads it "
+                        "(default $AWGP_THREADS or 1)")
     p.add_argument("--config", help="JSON file supplying any of this command's flags")
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,8 +36,8 @@ from scipy.linalg.lapack import dpotrf
 
 from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError
 from .kernels import (Brownian, CallableKernel, GaussianProcessSpec, IntensityMeasure,
-                      MolchanGolosov, VolterraKernel, _check_hurst, _same_kernels, _unit_row,
-                      _UnitRow, covariance, fbm_spec)
+                      VolterraKernel, _check_hurst, _same_kernels, _unit_row, _UnitRow,
+                      covariance, fbm_spec)
 # graded_gauss goes unused here: the benchmark tracer binds it by name
 from .quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent  # noqa: F401
 
@@ -308,6 +309,7 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
 
     # shared nodes; for a same-tag singular pair the geometric mean is the measure itself
     s, ws, t_mat, w_mat = _nodes(measures1[0], T, grid, gamma_s, gamma_t)
+    meta["n_s"] = s.size  # a singular measure's own cells, not the requested n_s
     v1 = _eval_components(kernels1, t_mat, s)
     v2 = v1 if _same_kernels(kernels1, kernels2) else _eval_components(kernels2, t_mat, s)
     rho1, rho2 = _densities(measures1, s), _densities(measures2, s)
@@ -431,11 +433,6 @@ def _clamped_at_zero(dist: float, trace: float) -> float:
                                    f"the trace term {trace:.3e}")
         dist = 0.0
     return dist
-
-
-def _fbm_cross(h1: float, h2: float, n: int) -> float:
-    """:func:`_self_similar_cross` on two Molchan-Golosov rows."""
-    return _self_similar_cross(_unit_row(MolchanGolosov(h=h1)), _unit_row(MolchanGolosov(h=h2)), n)
 
 
 def _self_similar(r1: _UnitRow, r2: _UnitRow, T: float, grid: QuadratureGrid) -> DistanceReport:
@@ -604,30 +601,36 @@ def fbm_cov_matrix(h: float, times: np.ndarray) -> CovMatrix:
     return CovMatrix(entries=0.5 * (r + r.T))
 
 
-def _proper_rotation(p1: float, n1: float, n2: float, p2: float, j: int, tol: float
-                     ) -> list[list[float]]:
-    """J-unitary map (signature +, -, -, +) leaving a generator row as (delta, 0, 0, 0).
+_SCHUR_BLOCK = 16  # factor columns per block of the streamed Schur distance
+_ROTATIONS = struct.Struct("32d")  # both laws' 4 x 4 maps, row-major
 
-    A Givens rotation of the positive pair, one of the negative pair and a
-    hyperbolic rotation between the two, composed; raises when |rho| = q/p >= 1
-    or the pivot delta^2 = p^2 - q^2 is at most ``tol`` (> 0), NaN included.
+
+def _put_rotations(g0: tuple, j: int, tols: list[float], rot: np.ndarray) -> None:
+    """Write into ``rot`` (2, 4, 4) each law's J-unitary map (signature +, -, -, +) leaving
+    its generator column (p1, n1, n2, p2) = g0[4 i:4 i + 4] as (delta, 0, 0, 0): a Givens
+    rotation of the positive pair, one of the negative pair and a hyperbolic rotation
+    between the two.  Raises NotPositiveDefiniteError(j) when |rho| = q/p >= 1 or the
+    pivot delta^2 = p^2 - q^2 is at most that law's ``tols`` entry (> 0), NaN included.
     """
-    p, q = math.hypot(p1, p2), math.hypot(n1, n2)
-    if not (p - q) * (p + q) > tol:
-        raise NotPositiveDefiniteError(j)
-    cp, sp = p1 / p, p2 / p
-    cn, sn = (n1 / q, n2 / q) if q > 0.0 else (1.0, 0.0)
-    rho = q / p
-    eta = math.sqrt((1.0 - rho) * (1.0 + rho))
-    return [[cp / eta, -rho * cn / eta, -rho * sn / eta, sp / eta],
-            [-rho * cp / eta, cn / eta, sn / eta, -rho * sp / eta],
-            [0.0, -sn, cn, 0.0],
-            [-sp, 0.0, 0.0, cp]]
+    flat = []
+    for (p1, n1, n2, p2), tol in ((g0[:4], tols[0]), (g0[4:], tols[1])):
+        p, q = math.hypot(p1, p2), math.hypot(n1, n2)
+        if not (p - q) * (p + q) > tol:
+            raise NotPositiveDefiniteError(j)
+        cp, sp = p1 / p, p2 / p
+        cn, sn = (n1 / q, n2 / q) if q > 0.0 else (1.0, 0.0)
+        rho = q / p
+        eta = math.sqrt((1.0 - rho) * (1.0 + rho))
+        flat += (cp / eta, -rho * cn / eta, -rho * sn / eta, sp / eta,
+                 -rho * cp / eta, cn / eta, sn / eta, -rho * sp / eta,
+                 0.0, -sn, cn, 0.0, -sp, 0.0, 0.0, cp)
+    _ROTATIONS.pack_into(rot, 0, *flat)
 
 
-def _fbm_path_factor_columns(hs: tuple[float, float], dt: float, n: int,
-                             tols: list[float]):
-    """Yield column j of both laws' path Cholesky factors, rows j..n-1, as a (2, n-j) view.
+def _fbm_path_factor_blocks(hs: tuple[float, float], dt: float, n: int, tols: list[float]):
+    """Yield (j0, k): columns j0 ... j0 + b - 1 of both laws' path Cholesky factors, as the
+    (2, b, n - j0) view k[i, j - j0] = column j of law i on rows j0 ... n - 1, 0 above row j,
+    which the caller may overwrite.
 
     The increments Y_0 = X(dt/2), Y_n = X(t_n) - X(t_{n-1}) have covariance
     [[a, b^T], [b, T]], T the fGn Toeplitz matrix of lags r(k).  After the
@@ -635,7 +638,8 @@ def _fbm_path_factor_columns(hs: tuple[float, float], dt: float, n: int,
     [t/sqrt(t_0), (t - t_0 e_0)/sqrt(t_0), b/sqrt(a), Z b/sqrt(a)] of
     signature (+, -, -, +); each generalised Schur step peels one factor
     column.  As X = cumsum Y, the generator is summed down its rows once: the
-    J-unitary maps act on its columns and commute with that sum.
+    J-unitary maps act on its columns and commute with that sum.  Two (2, 4, n)
+    buffers take the generator in turn, row i at index i.
     """
     lag = np.arange(n - 1)
     r, col = np.empty((2, n - 1)), np.empty((2, n))
@@ -650,20 +654,30 @@ def _fbm_path_factor_columns(hs: tuple[float, float], dt: float, n: int,
             raise NotPositiveDefiniteError(0)
         col[i, 0] = math.sqrt(a)
         col[i, 1:] = c * (k[:n - 1] + half[1:] - k[1:n] - half[:-1]) / col[i, 0]
-    yield np.cumsum(col, axis=1)
-    g = np.zeros((2, 4, n - 1))
-    g[:, 0] = r / np.sqrt(r[:, :1])
-    g[:, 1, 1:] = g[:, 0, 1:]
-    g[:, 2] = col[:, 1:]
-    g[:, 3, 1:] = col[:, 1:-1]
+    blk = _SCHUR_BLOCK
+    out = np.zeros((2, blk, n))
+    out[:, 0] = np.cumsum(col, axis=1)
+    g = np.zeros((2, 4, n))
+    g[:, 0, 1:] = r / np.sqrt(r[:, :1])
+    g[:, 1, 2:] = g[:, 0, 2:]
+    g[:, 2, 1:] = col[:, 1:]
+    g[:, 3, 2:] = col[:, 1:-1]
     g = np.cumsum(g, axis=2)
+    nxt, rot = np.empty_like(g), np.empty((2, 4, 4))
+    column = struct.Struct(f"d{8 * n - 8}x" * 7 + "d").unpack_from  # g[:, :, j] at 8 j bytes
     for j in range(1, n):
-        g = np.array([_proper_rotation(*row, j, tol)
-                      for row, tol in zip(g[:, :, 0].tolist(), tols)]) @ g
-        yield g[:, 0]
-        # Z times the column taken; the others' first row is now 0, so drop it
-        g[:, 0, 1:] = g[:, 0, :-1]
-        g = g[:, :, 1:]
+        b = j % blk
+        if b == 0:
+            yield j - blk, out[:, :, j - blk:]
+            out[:, :, j:j + blk] = 0.0
+        _put_rotations(column(g, 8 * j), j, tols, rot)
+        np.matmul(rot, g[:, :, j:], out=nxt[:, :, j:])
+        out[:, b, j:] = nxt[:, 0, j:]
+        # Z times the column taken; the others' entry j is now 0 and is left behind
+        nxt[:, 0, j + 1:] = out[:, b, j:-1]
+        g, nxt = nxt, g
+    j0 = (n - 1) // blk * blk
+    yield j0, out[:, :n - j0, j0:]
 
 
 def discretized_fbm_aw(h1: float, h2: float, T: float, n_steps: int) -> DistanceReport:
@@ -672,7 +686,8 @@ def discretized_fbm_aw(h1: float, h2: float, T: float, n_steps: int) -> Distance
     Samples both processes at the midpoints t_n = (n + 1/2) dt of a uniform
     n-step grid and scales the discrete squared distance by the step so that
     it approximates the L^2([0, T]) path cost.  It streams in O(N^2) time and
-    O(N) memory, one column of both causal factors at a time, and builds no
+    O(N) memory, one generalised Schur step per column of both causal factors and
+    one diag and distance sum per block of _SCHUR_BLOCK columns, and builds no
     N x N matrix; :func:`discrete_aw` on :func:`fbm_cov_matrix` is the dense
     general path it agrees with up to rounding.
     """
@@ -688,10 +703,11 @@ def discretized_fbm_aw(h1: float, h2: float, T: float, n_steps: int) -> Distance
     variances = [times ** (2 * h) for h in (h1, h2)]
     tols = [_PIVOT_TOL * float(v.max()) for v in variances]
     diag, dist = np.empty(n), np.empty(n)
-    for j, (k1, k2) in enumerate(_fbm_path_factor_columns((h1, h2), dt, n, tols)):
-        diag[j] = k1 @ k2  # (K1^T K2)_{j,j}
-        diff = k1 - k2 if diag[j] >= 0.0 else k1 + k2  # equal laws give exactly 0
-        dist[j] = diff @ diff
+    for j0, (k1, k2) in _fbm_path_factor_blocks((h1, h2), dt, n, tols):
+        d = np.einsum("jk,jk->j", k1, k2, out=diag[j0:j0 + len(k1)])  # (K1^T K2)_{j,j}
+        k2[d < 0.0] *= -1.0  # in place, the block being ours: corr K2, corr = +1 at a tie
+        np.subtract(k1, k2, out=k2)  # equal laws give exactly 0
+        np.einsum("jk,jk->j", k2, k2, out=dist[j0:j0 + len(k1)])
     return DistanceReport(
         distance_squared=float(np.sum(dist)) * dt,
         trace_term=float(np.sum(variances[0]) + np.sum(variances[1])) * dt,

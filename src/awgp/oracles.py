@@ -315,9 +315,10 @@ def fbm_aw_reference(h1, h2, T: float = 1.0, dps: int = 20) -> float:
 
 
 def _mg_forward_mean(h: float, r: float, T: float) -> float:
-    """rho_H(r) = (T - r)^-1 int_r^T k_H(s, r) ds by QUADPACK with the (s - r)^(H - 1/2) end as
-    its algebraic weight and scipy's hyp2f1 for the rest of the kernel."""
-    val = quad(lambda s: scipy_hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1.0 - s / r), r, T,
+    """rho_H(r) = (T - r)^-1 int_r^T k_H(s, r) ds by QUADPACK in the offset d = s - r, with the
+    d^(H - 1/2) end as its algebraic weight and scipy's hyp2f1 at z = -d/r for the rest of the
+    kernel: 1 - s/r would lose the digits of z that r near T leaves."""
+    val = quad(lambda d: scipy_hyp2f1(h - 0.5, 0.5 - h, h + 0.5, -d / r), 0.0, T - r,
                weight="alg", wvar=(h - 0.5, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
     return _mg_const(h) * val / (T - r)
 

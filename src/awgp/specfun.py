@@ -51,6 +51,9 @@ _KEY = np.where(_CLASS < _N_PFAFF, _CLASS, _N_PFAFF + _Z_EDGES.size - _CLASS).as
 _W_PFAFF = np.r_[_Z_EDGES / (1.0 + _Z_EDGES), 1.0]
 _W_KEY = np.r_[_W_PFAFF[:_N_PFAFF], 1.0 / (1.0 + _Z_EDGES[:_N_PFAFF - 2:-1])]
 _BLOCK = 32768  # lanes per block; a block array takes 256 KiB
+# (key table, Pfaff classes, class bounds e, e^(N+1) for N < 64) without and with the 1/z route
+_ROUTES = [(lut, n, w, w[:, None] ** np.arange(1.0, 65.0))
+           for lut, n, w in ((_CLASS, _W_PFAFF.size, _W_PFAFF), (_KEY, _N_PFAFF, _W_KEY))]
 
 
 def gamma_fn(x):
@@ -137,40 +140,58 @@ def _match_shape(out: np.ndarray, template):
     return out.reshape(np.shape(template))
 
 
-def _summer(alpha: float, beta: float, gamma: float, w_max: np.ndarray, max_terms: int):
-    """A function (w, key) giving F(alpha, beta; gamma; w) on lanes sorted by key, w <= w_max[key].
-
-    A key's degree N is the least whose a-priori tail bound holds at e = w_max[key]:
-    once gamma + N + 1 > 0, every ratio |c_{k+1} / c_k| (k > N) of the coefficients is
-    at most rho = (1 + |alpha - 1|/(N + 2)) (1 + |beta - gamma|/(gamma + N + 1)), so
-    sum_{k > N} |c_k| w^k <= |c_{N+1}| e^(N+1) / (1 - rho e) for w <= e.  Horner runs
-    from the block's top degree down, each step on the lanes whose degree reaches it:
-    a lane joins at its own N as 0 * w + c_N, whatever else the block holds.
+def _degrees(params: list, counts: list, e: np.ndarray, e_pow: np.ndarray, max_terms: int):
+    """Coefficients c_0 ... c_m of F(alpha, beta; gamma; w) for each (alpha, beta, gamma) of
+    ``params``, on ``counts`` rows, and each row's degree N, the least whose a-priori tail
+    bound holds for w <= its e (e_pow[:, N] = e^(N+1)): once gamma + N + 1 > 0, every ratio
+    |c_{k+1} / c_k| (k > N) is at most rho = (1 + |alpha - 1|/(N + 2)) (1 + |beta - gamma| /
+    (gamma + N + 1)), so sum_{k > N} |c_k| w^k <= |c_{N+1}| e^(N+1) / (1 - rho e).  One
+    cumprod and one test on every (row, N <= m) give both; m doubles from 64 up to max_terms,
+    and a row that needs more gets N = -1.
     """
-    degree, coef = [], [1.0, alpha * beta / gamma]  # c_0 ... c_{N+1}
+    alpha, beta, gamma = np.array(params, dtype=float).T[..., None]
+    series, e = np.repeat(np.arange(len(params)), counts), e[:, None]
+    m = min(64, max_terms)
+    while True:
+        k = np.arange(m + 2.0)
+        n = k[1:-1]  # N + 1
+        ratio = np.ones((len(params), m + 1))
+        with np.errstate(all="ignore"):  # a NaN or inf bound fails the test
+            ratio[:, 1:] = (alpha + k[:-2]) * (beta + k[:-2]) / ((gamma + k[:-2]) * n)
+            rho = (1.0 + np.abs(alpha - 1.0) / k[2:]) * (1.0 + np.abs(beta - gamma) / (gamma + n))
+        rho[gamma + n <= 0.0] = np.inf
+        coef = np.cumprod(ratio, axis=1).take(series, axis=0)
+        rho_e = rho.take(series, axis=0) * e
+        ok = (rho_e < 1.0) & (np.abs(coef[:, 1:]) * (e_pow[:, :m] if m <= e_pow.shape[1] else e ** n)
+                              <= _TAIL_TOL * (1.0 - rho_e))
+        found = ok.any(axis=1)
+        if found.all() or m >= max_terms:
+            return coef, np.where(found, ok.argmax(axis=1), -1)
+        m = min(2 * m, max_terms)
 
-    def horner(w, key):
-        for e in w_max[len(degree):key[-1] + 1]:  # the keys ascend with e, and so does N
-            while True:
-                n = len(coef) - 1  # = N + 1
-                rho = (1.0 + abs(alpha - 1.0) / (n + 1)) * (1.0 + abs(beta - gamma) / (gamma + n))
-                if gamma + n > 0 and rho * e < 1.0 and (
-                        abs(coef[n]) * e ** n <= _TAIL_TOL * (1.0 - rho * e)):
-                    break
-                if n >= max_terms:
-                    raise ConvergenceError(f"hyp2f1 series needs more than {max_terms} terms "
-                                           f"at series variable {e:.6g}")
-                coef.append(coef[n] * ((alpha + n) * (beta + n) / ((gamma + n) * (n + 1))))
-            degree.append(n - 1)
-        lane_deg = np.take(degree, key)
-        starts = np.searchsorted(lane_deg, np.arange(lane_deg[-1] + 1))
-        acc = np.zeros_like(w)
-        for n in range(lane_deg[-1], -1, -1):
-            tail = acc[starts[n]:]
-            tail *= w[starts[n]:]
-            tail += coef[n]
+
+def _summer(w: np.ndarray, g: np.ndarray, deg: np.ndarray, coef: np.ndarray, cuts: list):
+    """sum_{n <= N} c_n w^n by Horner on each lane, c and N from its row g of :func:`_degrees`,
+    the rows ascending within each section cuts[i]:cuts[i + 1].  A lane joins at its own N as
+    0 * w + c_N: if the lanes' coefficients, 0 above each one's N, fit in _BLOCK values, all
+    lanes take every step; else each section takes one pass, each step on the lanes it reaches.
+    """
+    top = max(int(deg[g[hi - 1]]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo)
+    acc = np.zeros_like(w)
+    if w.size * (top + 1) <= _BLOCK:
+        table = np.where(np.arange(top + 1) <= deg[:, None], coef[:, :top + 1], 0.0)
+        for c in table.T[::-1].take(g, axis=1):
+            acc *= w
+            acc += c
         return acc
-    return horner
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi > lo:
+            d = deg.take(g[lo:hi])
+            c, starts = coef[g[lo]].tolist(), (lo + np.searchsorted(d, np.arange(d[-1] + 1))).tolist()
+            for n in range(d[-1], -1, -1):
+                acc[starts[n]:hi] *= w[starts[n]:hi]
+                acc[starts[n]:hi] += c[n]
+    return acc
 
 
 def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
@@ -193,7 +214,8 @@ def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
     """
     _check_parameters(a, b, c)
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if not (np.all(z_arr <= 0.0) and np.isfinite(z_arr).all()):
+    z_min = z_arr.min(initial=0.0)
+    if not (z_arr.max(initial=0.0) <= 0.0 and z_min > -np.inf):  # NaN fails the first
         raise DomainError("hyp2f1 requires finite z <= 0")
 
     # terminating series: exact for any z, no transformation needed
@@ -208,18 +230,24 @@ def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
     # as z -> -inf
     far = []
     off = abs((a - b) - round(a - b))
-    if off > 0.0 and z_arr.min(initial=0.0) < -1.0:  # some lane has z < -1
+    if off > 0.0 and z_min < -1.0:  # some lane has z < -1
         c1 = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
         c2 = math.gamma(c) * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
         if off >= 1e-8 or abs(c1) + abs(c2) <= 16.0:
             # with c = ex + 1, as c = a + 1 in the Molchan-Golosov family, a series is
             # F(ex, beta; beta; w) = (1 - w)^(-ex) (DLMF 15.4.6), and (1 - z)(1 - w) = -z
             far = [(cf, ex, None if abs(c - ex - 1.0) <= 1e-15 * max(abs(c), 1.0)
-                    else _summer(ex, p, ex - q + 1.0, _W_KEY[_N_PFAFF:], max_terms))
+                    else (ex, p, ex - q + 1.0))
                    for cf, ex, p, q in ((c1, a, c - b, b), (c2, b, c - a, a)) if cf != 0.0]
-    lut, n_pfaff, w_max = (_KEY, _N_PFAFF, _W_KEY) if far else (_CLASS, _W_PFAFF.size, _W_PFAFF)
-    # Pfaff: F(a,b;c;z) = (1-z)^{-a} F(a, c-b; c; w), w = z/(z-1)
-    near = _summer(a, c - b, c, w_max[:n_pfaff], max_terms)
+    lut, n_pfaff, w_max, w_pow = _ROUTES[bool(far)]
+    # Pfaff: F(a,b;c;z) = (1-z)^{-a} F(a, c-b; c; w), w = z/(z-1).  One row of degrees per
+    # Pfaff class up to |z|_max, then per 1/z-route class of each summed series; with that
+    # route, the Pfaff rows are all its classes, so a lane's row is its key (+ n_far before)
+    top = n_pfaff - 1 if far else int(np.searchsorted(_Z_EDGES, -z_min))  # class of |z|_max
+    series = [(a, c - b, c)] + [p for cf, ex, p in far if p is not None]
+    n_far, n_sum = w_max.size - n_pfaff, len(series) - 1
+    rows = np.concatenate([np.arange(top + 1)] + [np.arange(n_pfaff, w_max.size)] * n_sum)
+    coef, deg = _degrees(series, [top + 1] + [n_far] * n_sum, w_max[rows], w_pow[rows], max_terms)
     zf = z_arr.ravel()
     out = np.empty_like(zf)
     for lo in range(0, zf.size, _BLOCK):
@@ -230,14 +258,26 @@ def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
         key, zs = key[order], zb[order]
         split = int(np.searchsorted(key, n_pfaff))
         x = 1.0 - zs
+        zn, xr, n_r = zs[:split], x[split:], zs.size - split
+        cuts = [0, split] + [zs.size + i * n_r for i in range(n_sum)]
+        w = np.empty(cuts[-1])
+        np.divide(zn, zn - 1.0, out=w[:split])
+        for lo_s, hi_s in zip(cuts[1:], cuts[2:]):
+            np.divide(1.0, xr, out=w[lo_s:hi_s])
+        g = key[:w.size] if n_sum < 2 else np.concatenate([key, key[split:] + n_far])
+        for i, (lo_s, hi_s) in enumerate(zip(cuts, cuts[1:])):
+            if hi_s > lo_s and deg[g[hi_s - 1]] < 0:  # the series' rows ascend in degree
+                first = 0 if i == 0 else top + 1 + (i - 1) * n_far
+                e_bad = w_max[rows[first + np.argmax(deg[first:] < 0)]]
+                raise ConvergenceError(f"hyp2f1 series needs more than {max_terms} terms "
+                                       f"at series variable {e_bad:.6g}")
+        sums = _summer(w, g, deg, coef, cuts) if w.size else w
         vals = np.empty_like(zs)
-        if split:
-            zn = zs[:split]
-            vals[:split] = x[:split] ** (-a) * near(zn / (zn - 1.0), key[:split])
-        if split < zs.size:
-            zr, xr, kr = zs[split:], x[split:], key[split:] - n_pfaff
-            vals[split:] = sum(cf * ((-zr) ** (-ex) if series is None
-                                     else xr ** (-ex) * series(1.0 / xr, kr))
-                               for cf, ex, series in far)
+        vals[:split] = x[:split] ** (-a) * sums[:split]
+        if n_r:
+            secs = zip(cuts[1:], cuts[2:])
+            vals[split:] = sum(cf * ((-zs[split:]) ** (-ex) if p is None
+                                     else xr ** (-ex) * sums[slice(*next(secs))])
+                               for cf, ex, p in far)
         out[lo:lo + _BLOCK][order] = vals
     return _match_shape(out, z)

@@ -79,6 +79,16 @@ class TestAwFbm:
         assert outs["1"] == outs["2"] and outs["1"][-1] == "# n_s,32"
         assert outs["100"][-1] == "# n_s,96"
 
+    def test_csv_states_the_cantor_cell_count(self, tmp_path, capsys):
+        # a singular measure takes its own 2^k >= 8 n_s cells: 128 for --grid 16
+        spec = tmp_path / "cantor.json"
+        spec.write_text(json.dumps({"T": 1.0, "components": [
+            {"kernel": {"kind": "brownian"}, "measure": "cantor"}]}))
+        code, out, _ = run_cli(capsys, "aw-unit", "--spec1", str(spec), "--spec2", str(spec),
+                               "--grid", "16", "--format", "csv")
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "# n_s,128"
+
     def test_default_sweep_is_symmetric_with_zero_diagonal(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         code, _, _ = run_cli(capsys, "aw-fbm", "--sweep", "--output", str(out_path))

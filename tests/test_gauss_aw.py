@@ -18,6 +18,10 @@ from awgp.kernels import (Brownian, CallableKernel, ConstantVolatility, Gaussian
                           cantor_martingale_spec, eval_mg_kernel, fbm_spec, fou_spec)
 from awgp.oracles import bruteforce_discrete_cross_term, get_golden, psd_feasibility_sampler
 from awgp.quadrature import QuadratureGrid
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+B = gauss_aw._SCHUR_BLOCK
 
 
 def core(s1, s2, grid):
@@ -261,6 +265,12 @@ class TestContinuousUnit:
         rep = continuous_aw_unit(cantor_martingale_spec(), cantor_martingale_spec())
         assert rep.distance_squared == pytest.approx(0.0, abs=1e-10)
 
+    def test_cantor_records_its_cell_count(self):
+        # the Cantor rule takes 2^k >= 8 n_s cells: 128 for n_s = 16, one correlation each
+        rep = continuous_aw_unit(cantor_martingale_spec(), cantor_martingale_spec(),
+                                 QuadratureGrid(n_s=16, n_t=16))
+        assert rep.grid_meta["n_s"] == 128 == rep.optimal_correlation.size
+
 
 class TestContinuousFbm:
     def test_equal_hurst_zero(self):
@@ -499,6 +509,39 @@ class TestStreamedTransfer:
         assert np.array_equal(rep.optimal_correlation, dense.optimal_correlation)
         if h1 == h2:
             assert rep.distance_squared == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(h1=st.floats(0.05, 0.95), h2=st.floats(0.05, 0.95),
+           n=st.sampled_from([B - 1, B, B + 1, 2 * B + 1]))
+    def test_blocks_match_dense_path(self, h1, h2, n):
+        # N on both sides of the block boundaries of the streamed distance
+        rep = discretized_fbm_aw(h1, h2, 1.0, n)
+        times = (np.arange(n) + 0.5) / n
+        dense = discrete_aw(fbm_cov_matrix(h1, times), fbm_cov_matrix(h2, times))
+        tol = 1e-12 * rep.trace_term
+        assert abs(rep.distance_squared - dense.distance_squared / n) <= tol
+        assert abs(rep.cross_term - dense.cross_term / n) <= tol
+        assert np.array_equal(rep.optimal_correlation, dense.optimal_correlation)
+
+    @pytest.mark.parametrize("law", [0, 1])
+    def test_pivot_failing_inside_a_block(self, law):
+        # a per-law tolerance between two dense pivots past the first block makes the
+        # generator fail at the dense rule's index, whichever law carries it; at H = 0.1 the
+        # pivots fall below the first one (the variance at dt/2), so the rule can reach them
+        n, hs = 64, (0.1, 0.7) if law == 0 else (0.7, 0.1)
+        times = (np.arange(n) + 0.5) / n
+        pivots = np.diag(np.linalg.cholesky(fbm_cov_matrix(hs[law], times).entries)) ** 2
+        k = B + 13
+        assert pivots[k] < pivots[:k].min()
+        tol = 0.5 * (pivots[k] + pivots[:k].min())
+        dense = int(np.flatnonzero(pivots <= tol)[0])
+        assert dense == k
+        tols = [1e-300, 1e-300]
+        tols[law] = tol
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            for _ in gauss_aw._fbm_path_factor_blocks(hs, 1.0 / n, n, tols):
+                pass
+        assert err.value.pivot_index == dense
 
     def test_degenerate_law_raises_like_dense(self):
         h = 1.0 - 1e-8

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -6,7 +7,7 @@ from awgp.errors import ConvergenceError, DomainError
 from awgp.gauss_aw import continuous_aw_fbm
 from awgp.kernels import eval_mg_kernel
 from awgp.mart_approx import MartingaleApproxResult, mart_approx_distance, optimal_volatility
-from awgp.oracles import _mart_distance_reference, _mg_forward_mean, get_golden
+from awgp.oracles import _mart_distance_reference, _mg_forward_mean, _mp_unit_row, get_golden
 from awgp.quadrature import QuadratureGrid
 
 
@@ -143,6 +144,18 @@ class TestAgainstQuadpack:
         lone = np.array([optimal_volatility(h, r, 1.0) for r in rs])
         assert np.max(np.abs(lone - ref) / ref) < 1e-10
         assert np.max(np.abs(optimal_volatility(h, rs, 1.0) - ref) / ref) < 1e-10
+
+    @pytest.mark.parametrize("r", [1e-4, 0.3])
+    def test_oracle_rho_against_mpmath(self, r):
+        # the QUADPACK oracle at the roughest H against mpmath tanh-sinh on the unit row:
+        # k(s, r) = s^(H - 1/2) k(1, u), u = r/s
+        h = 0.05
+        with mp.workdps(30):
+            hh, _, row = _mp_unit_row(h)
+            rr = mp.mpf(r)
+            ref = mp.quad(lambda u: (rr / u) ** (hh - 0.5) * row(u, 1 - u) * rr / u ** 2,
+                          [rr, (1 + rr) / 2, 1]) / (1 - rr)
+        assert _mg_forward_mean(h, r, 1.0) == pytest.approx(float(ref), rel=1e-13)
 
     def test_rho_table(self):
         res = mart_approx_distance(0.05, 1.0)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from awgp.errors import DomainError
-from awgp.gauss_aw import (_fbm_cross, cholesky_causal_factor, continuous_aw_fbm,
+from awgp.gauss_aw import (_self_similar_cross, cholesky_causal_factor, continuous_aw_fbm,
                            continuous_aw_unit)
 from awgp.kernels import (Brownian, GaussianProcessSpec, IntensityMeasure, MolchanGolosov,
-                          RiemannLiouville, covariance, fbm_spec)
+                          RiemannLiouville, _unit_row, covariance, fbm_spec)
 from awgp.oracles import (OracleVerdict, bruteforce_discrete_cross_term, cholesky_marginal_paths,
                           fbm_aw_reference, get_golden, load_goldens, mc_formula_check,
                           pointwise_optimal_correlation, psd_feasibility_sampler,
@@ -206,7 +206,8 @@ class TestFbmReference:
         # c_HH = Var B_H(1) = 1 exactly, so the reference distance vanishes; the
         # route's rule, which the route skips at h1 == h2, sums it to 1 as well
         assert abs(fbm_aw_reference(h, h)) <= 1e-14
-        assert _fbm_cross(h, h, 256) == pytest.approx(1.0, abs=1e-12)
+        row = _unit_row(MolchanGolosov(h=h))
+        assert _self_similar_cross(row, row, 256) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("h1,h2", [(0.1, 0.45), (0.55, 0.9)])
     def test_error_falls_with_nodes(self, h1, h2):

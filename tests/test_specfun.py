@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from awgp.errors import ConvergenceError, DomainError
 from awgp.oracles import get_golden
-from awgp.specfun import _Z_EDGES, gamma_fn, hyp2f1, hyp2f1_series
+from awgp.specfun import _W_KEY, _W_PFAFF, _Z_EDGES, _degrees, gamma_fn, hyp2f1, hyp2f1_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,6 +156,42 @@ class TestHyp2f1:
         perm = np.array(data.draw(st.permutations(range(zs.size))))
         assert np.array_equal(hyp2f1(a, b, c, zs[perm]), vals[perm])
 
+    @pytest.mark.parametrize("params", [(-0.45, 0.9, 0.55), (0.2, 1.0, 1.4), (0.3, 0.7, 1.9),
+                                        (1.5, 0.25, 3.1), (0.3, 1.3, 1.7)])
+    def test_degrees_match_the_stepwise_search(self, params):
+        # the one-test degree choice against a search one degree at a time, over the class
+        # bounds of both routes (the Pfaff-only ones up to 0.99)
+        alpha, beta, gamma = params
+        e = np.r_[_W_KEY, _W_PFAFF[_W_PFAFF < 0.99]]
+        coef, deg = _degrees([params], [e.size], e, e[:, None] ** np.arange(1.0, 65.0), 10_000)
+        c, ref = [1.0], []
+        for w in e:
+            n = 1
+            while True:
+                while len(c) <= n:
+                    k = len(c) - 1
+                    c.append(c[k] * ((alpha + k) * (beta + k) / ((gamma + k) * (k + 1))))
+                rho = (1.0 + abs(alpha - 1.0) / (n + 1)) * (1.0 + abs(beta - gamma) / (gamma + n))
+                if gamma + n > 0 and rho * w < 1.0 and abs(c[n]) * w ** n <= 2.0 ** -53 * (1.0 - rho * w):
+                    break
+                n += 1
+            ref.append(n - 1)
+        assert deg.tolist() == ref
+        assert np.array_equal(coef[0, :max(ref) + 2], c[:max(ref) + 2])
+
+    @pytest.mark.parametrize("h", [0.05, 0.3, 0.7, 0.95])
+    def test_large_batch_matches_single_lanes(self, h):
+        # a single lane sums with per-lane coefficient rows, a batch of 700 or more lanes
+        # (z = -1 sets the top degree) section by section: both give each lane bitwise the
+        # same Horner steps
+        a, b, c = h - 0.5, 0.5 - h, h + 0.5
+        rng = np.random.default_rng(5)
+        for size in (700, 1200):
+            zs = np.r_[-1.0, -(10.0 ** rng.uniform(-7.0, 8.0, size - 1))]
+            vals = hyp2f1(a, b, c, zs)
+            single = [hyp2f1(a, b, c, z) for z in zs[::37]]
+            assert np.array_equal(vals[::37], single)
+
     @pytest.mark.parametrize("dh", [1e-12, 1e-9, 5e-9, -3e-9])
     def test_molchan_golosov_near_half(self, dh):
         # a - b = 2 dh lies within 1e-8 of 0, where a Pfaff series would run to max_terms as
@@ -215,6 +251,16 @@ class TestHyp2f1:
     def test_series_rejects_nan_a(self):
         with pytest.raises(DomainError, match="finite"):
             hyp2f1_series(np.nan, 0.2, 1.2, 0.5)
+
+    def test_budget_binds_only_classes_with_lanes(self):
+        # 12 terms cover |z| near 1e-4 and 1e9 but not the classes between, which no lane
+        # occupies; a lane at |z| = 0.99 needs more and raises
+        from scipy.special import hyp2f1 as scipy_hyp2f1
+        zs = -np.array([1e-4, 2e-4, 1e9])
+        assert np.allclose(hyp2f1(-0.2, 0.2, 0.7, zs, max_terms=12),
+                           scipy_hyp2f1(-0.2, 0.2, 0.7, zs), rtol=1e-13, atol=0)
+        with pytest.raises(ConvergenceError, match="12 terms"):
+            hyp2f1(-0.2, 0.2, 0.7, np.r_[zs, -0.99], max_terms=12)
 
     def test_nonconvergence_reported(self):
         # integer a - b disables the 1/z route; a tiny term budget must fail loudly
