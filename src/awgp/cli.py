@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import build_process_spec, build_scenario
 from .errors import (ConvergenceError, DomainError, MeasureOrderingError,
-                     NotPositiveDefiniteError, SimulationError)
+                     NotPositiveDefiniteError, SimulationError, check_count)
 from .fsde import estimate_coupling_cost, euler_fsde, simulate_coupled_noise, assumption_checker
 from .gauss_aw import (CovMatrix, DistanceReport, continuous_aw_fbm, continuous_aw_multi,
                        continuous_aw_unit, discrete_aw)
@@ -61,9 +61,8 @@ def _grid_from_args(args) -> QuadratureGrid:
 
 def _parse_range(text: str) -> np.ndarray:
     lo, hi, count = text.split(":")
-    if int(count) < 1:
-        raise DomainError(f"sweep range {text!r} needs a count of at least 1")
-    return np.linspace(float(lo), float(hi), int(count))
+    count = check_count(int(count), f"sweep range {text!r} count")
+    return np.linspace(float(lo), float(hi), count)
 
 
 def _cmd_aw_fbm(args) -> int:
@@ -159,12 +158,9 @@ def _cmd_regen_goldens(args) -> int:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+        return check_count(int(text), "a flag value")
+    except ValueError:  # DomainError is one
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
 
 
 _READ_FLAGS = {

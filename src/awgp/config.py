@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_horizon
 from .fsde import CouplingControl, FsdeSpec, _tabulated_fn, make_diffusion, make_drift
 from .kernels import (Brownian, ConstantVolatility, FractionalOU, GaussianProcessSpec,
                       IntensityMeasure, MolchanGolosov, RiemannLiouville, Tabulated,
@@ -40,7 +40,7 @@ def build_kernel(cfg: dict | str, T: float) -> VolterraKernel:
         return FractionalOU(T=T, h=float(cfg["h"]), lam=float(cfg.get("lam", 1.0)),
                             base=cfg.get("base", "mg"),
                             convention=cfg.get("convention", "mild"),
-                            n_inner=int(cfg.get("n_inner", 64)))
+                            n_inner=cfg.get("n_inner", 64))
     if kind == "brownian":
         return Brownian(T=T)
     if kind == "constant_volatility":
@@ -79,7 +79,7 @@ def build_process_spec(cfg: dict | str | Path) -> GaussianProcessSpec:
     if isinstance(cfg, (str, Path)):
         with open(cfg) as fh:
             cfg = json.load(fh)
-    T = float(cfg.get("T", 1.0))
+    T = check_horizon(cfg.get("T", 1.0))
     comps = []
     for comp in cfg["components"]:
         comps.append((build_kernel(comp["kernel"], T), build_measure(comp.get("measure"))))
@@ -99,12 +99,10 @@ def build_controls(cfg_list, T: float, n_cells_default: int = 16) -> list[Coupli
         elif kind == "tabulated":
             controls.append(CouplingControl.tabulated(cfg["times"], cfg["values"]))
         elif kind == "random_piecewise":
-            gen = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(entropy=(int(cfg.get("seed", 0)), 13))))
-            cells = int(cfg.get("cells", n_cells_default))
-            if cells < 1:
-                raise DomainError(f"random_piecewise control needs cells >= 1, got {cells}")
-            for _ in range(int(cfg.get("count", 1))):
+            seed = check_count(cfg.get("seed", 0), "random_piecewise seed", 0)
+            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 13))))
+            cells = check_count(cfg.get("cells", n_cells_default), "random_piecewise cells")
+            for _ in range(check_count(cfg.get("count", 1), "random_piecewise count")):
                 controls.append(CouplingControl.piecewise_constant(
                     gen.uniform(-1.0, 1.0, size=cells), T))
         else:
@@ -128,7 +126,7 @@ def build_scenario(cfg: dict | str | Path) -> Scenario:
     if isinstance(cfg, (str, Path)):
         with open(cfg) as fh:
             cfg = json.load(fh)
-    T = float(cfg.get("T", 1.0))
+    T = check_horizon(cfg.get("T", 1.0))
     specs = []
     for i in (1, 2):
         kcfg = cfg.get(f"kernel{i}", {"kind": "molchan_golosov"})
@@ -142,12 +140,9 @@ def build_scenario(cfg: dict | str | Path) -> Scenario:
         specs.append(FsdeSpec(drift=drift, diffusion=diffusion,
                               x0=float(cfg.get(f"x0{i}", 0.0)), noise_kernel=kernel, T=T,
                               drift_name=drift_name, diffusion_name=diff_name))
-    n_steps = int(cfg.get("M", 256))
-    if n_steps < 8:
-        raise DomainError("scenario grid M must be at least 8")
-    n_paths = int(cfg.get("n_paths", 10_000))
-    if n_paths < 2:
-        raise DomainError("scenario needs at least 2 paths")
+    n_steps = check_count(cfg.get("M", 256), "scenario grid M", 8)
+    n_paths = check_count(cfg.get("n_paths", 10_000), "scenario n_paths", 2)
     controls = build_controls(cfg.get("controls", ["synchronous"]), T)
+    check_count(len(controls), "number of scenario controls")
     return Scenario(spec1=specs[0], spec2=specs[1], n_steps=n_steps, n_paths=n_paths,
-                    seed=int(cfg.get("seed", 0)), controls=controls)
+                    seed=check_count(cfg.get("seed", 0), "scenario seed", 0), controls=controls)

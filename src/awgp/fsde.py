@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import quad as _adaptive_quad
 from scipy.optimize import brentq
 
-from .errors import DomainError, SimulationError
+from .errors import DomainError, SimulationError, check_count, check_horizon, shared_horizon
 from .kernels import IntensityMeasure, VolterraKernel, _same_kernels
 from .quadrature import graded_gauss, graded_midpoint, grading_exponent
 
@@ -278,9 +278,7 @@ def _coupling(k1: VolterraKernel, k2: VolterraKernel, control: CouplingControl, 
               measure2: IntensityMeasure | None) -> tuple:
     """(A1, A2, scale1, scale2, rho, mix) for one call's noise blocks: kernel matrices, sqrt cell
     masses, the (predictable) control on each cell's left edge, sqrt(1 - rho^2) or None if all 0."""
-    if n_steps < _MIN_STEPS:
-        raise DomainError(f"grid too coarse: need at least {_MIN_STEPS} steps")
-    dt = T / n_steps
+    dt = check_horizon(T) / check_count(n_steps, "n_steps", _MIN_STEPS)
     times = np.arange(n_steps + 1) * dt
     mids = times[:-1] + 0.5 * dt
     a1 = _kernel_matrix(k1, times, mids)
@@ -321,8 +319,7 @@ def simulate_coupled_noise(k1: VolterraKernel, k2: VolterraKernel, control: Coup
     coupling is exact path by path: under the synchronous control with
     identical kernels the two ensembles are identical arrays.
     """
-    if n_paths < 1:
-        raise DomainError("need at least one path")
+    check_count(n_paths, "n_paths")
     cp = _coupling(k1, k2, control, T, n_steps, measure1, measure2)
     times = np.arange(n_steps + 1) * (T / n_steps)
     z1, z2 = np.empty((2, n_paths, n_steps + 1))
@@ -359,8 +356,7 @@ def _euler(spec: FsdeSpec, dt: float, z: np.ndarray, path_offset: int) -> np.nda
 
 def euler_fsde(spec: FsdeSpec, noise: PathEnsemble) -> PathEnsemble:
     """Explicit Euler solution of the SDE along the given noise paths."""
-    if abs(noise.times[-1] - spec.T) > 1e-12:
-        raise DomainError("noise grid horizon does not match the SDE spec")
+    shared_horizon(noise.times[-1], spec.T, "the noise grid and the SDE spec")
     x = _euler(spec, float(noise.times[1] - noise.times[0]), noise.paths, 0)
     return PathEnsemble(times=noise.times, paths=np.ascontiguousarray(x.T), seed=noise.seed,
                         substream_policy=noise.substream_policy)
@@ -420,12 +416,11 @@ def estimate_coupling_cost(spec1: FsdeSpec, spec2: FsdeSpec, control: CouplingCo
     count, and a ``SimulationError`` names the path a per-step scan would:
     first block, spec 1 before spec 2, earliest step, lowest path index.
     """
-    if abs(spec1.T - spec2.T) > 1e-12:
-        raise DomainError("horizon mismatch between SDE specs")
-    if n_paths < 1 or n_workers < 1:
-        raise DomainError(f"need n_paths >= 1 and n_workers >= 1, got {n_paths}, {n_workers}")
-    cp = _coupling(spec1.noise_kernel, spec2.noise_kernel, control, spec1.T, n_steps, None, None)
-    dt = spec1.T / n_steps
+    T = shared_horizon(spec1.T, spec2.T, "SDE specs")
+    check_count(n_paths, "n_paths")
+    check_count(n_workers, "n_workers")
+    cp = _coupling(spec1.noise_kernel, spec2.noise_kernel, control, T, n_steps, None, None)
+    dt = T / n_steps
     n_blocks = -(-n_paths // _BLOCK)
 
     def block_costs(b: int) -> np.ndarray:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -34,7 +33,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError
+from .errors import (ConvergenceError, DomainError, NotPositiveDefiniteError, check_count,
+                     check_horizon, shared_horizon)
 from .kernels import (Brownian, CallableKernel, GaussianProcessSpec, IntensityMeasure,
                       VolterraKernel, _check_hurst, _same_kernels, _unit_row, _UnitRow,
                       covariance, fbm_spec)
@@ -263,13 +263,6 @@ def _trace_term(vals: np.ndarray, rho: np.ndarray, ws: np.ndarray, w_mat: np.nda
     return float(np.sum(np.einsum("ist,ist,st->is", vals, vals, w_mat) * rho * ws))
 
 
-def _horizon(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec) -> float:
-    """The horizon two specs share, as a float."""
-    if abs(spec1.T - spec2.T) > 1e-12:
-        raise DomainError("horizon mismatch between process specs")
-    return float(spec1.T)
-
-
 def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
                    grid: QuadratureGrid) -> DistanceReport:
     """One quadrature pass that evaluates each kernel once per node set, and equal kernel
@@ -280,7 +273,7 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     thin SVD otherwise) and adds ||V_more - C V_fewer||_W^2: no cancellation, and
     exactly 0 for identical unit-multiplicity inputs.
     """
-    T = _horizon(spec1, spec2)
+    T = shared_horizon(spec1.T, spec2.T, "process specs")
     spec1.validate_ordering()
     spec2.validate_ordering()
     kernels1, measures1 = zip(*spec1.components)
@@ -376,7 +369,7 @@ def continuous_aw_multi(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     row1, row2 = _lebesgue_row(spec1), _lebesgue_row(spec2)
     if row1 is None or row2 is None:
         return _run_with_crosscheck(lambda g: _distance_core(spec1, spec2, g), grid)
-    return _self_similar(row1, row2, _horizon(spec1, spec2), grid)
+    return _self_similar(row1, row2, shared_horizon(spec1.T, spec2.T, "process specs"), grid)
 
 
 def _lebesgue_row(spec: GaussianProcessSpec) -> _UnitRow | None:
@@ -481,12 +474,9 @@ def triangular_integral(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     """
     if spec1.multiplicity != 1 or spec2.multiplicity != 1:
         raise DomainError("triangular_integral requires unit multiplicity")
-    if abs(spec1.T - spec2.T) > 1e-12:
-        raise DomainError("horizon mismatch between process specs")
-    if partition_count < 1:
-        raise DomainError("partition_count must be >= 1")
+    T = shared_horizon(spec1.T, spec2.T, "process specs")
+    partition_count = check_count(partition_count, "partition_count")
     grid = grid or QuadratureGrid()
-    T = spec1.T
     k1, meas1 = spec1.components[0]
     k2, meas2 = spec2.components[0]
     if meas1.is_singular or meas2.is_singular:
@@ -693,11 +683,8 @@ def discretized_fbm_aw(h1: float, h2: float, T: float, n_steps: int) -> Distance
     """
     for h in (h1, h2):
         _check_hurst(h)
-    if not (math.isfinite(T) and T > 0.0):
-        raise DomainError(f"horizon T must be finite and positive, got {T}")
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
-        raise DomainError(f"n_steps must be a positive integer, got {n_steps!r}")
-    n = int(n_steps)
+    T = check_horizon(T)
+    n = check_count(n_steps, "n_steps")
     dt = T / n
     times = (np.arange(n) + 0.5) * dt
     variances = [times ** (2 * h) for h in (h1, h2)]

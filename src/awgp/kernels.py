@@ -20,8 +20,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MeasureOrderingError, SingularityError
-from .quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent
+from .errors import (DomainError, MeasureOrderingError, SingularityError, check_count,
+                     check_horizon, shared_horizon)
+from .quadrature import (QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent,
+                         linear_scan)
 from .specfun import gamma_fn, hyp2f1
 
 __all__ = [
@@ -138,8 +140,8 @@ def _fou_rate(lam: float, base: str, convention: str, n_inner: int) -> float:
     """Rate a with which lam enters the fOU kernel; rejects bad lam, n_inner, base or convention."""
     if not math.isfinite(lam):
         raise DomainError(f"fOU rate lam must be finite, got {lam}")
-    if not (isinstance(n_inner, (int, np.integer)) and n_inner >= 8 and n_inner % 4 == 0):
-        raise DomainError(f"fOU node count must be a multiple of 4 and >= 8, got {n_inner!r}")
+    if check_count(n_inner, "fOU node count", 8) % 4:
+        raise DomainError(f"fOU node count must be a multiple of 4, got {n_inner!r}")
     if base not in ("mg", "rl"):
         raise DomainError(f"fOU base kernel must be 'mg' or 'rl', got {base!r}")
     if convention not in ("mild", "forward"):
@@ -169,7 +171,8 @@ def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int,
     graded toward r = s and starts a new chain, a point alone on its s too.
     A chain start's error is carried to every later point of the chain, so it
     gets 2 * n_inner nodes with the grading steepened to the 4-node rule's
-    order.  Only differences of t enter an exponential, so a large |a| T
+    order.  :func:`~awgp.quadrature.linear_scan` sums the chains, a link 0 at
+    each start.  Only differences of t enter an exponential, so a large |a| T
     cannot overflow a mild (a < 0) kernel.  A diagonal point integrates an
     empty range to exactly 0 and chains to no later point.
     """
@@ -192,17 +195,10 @@ def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int,
         k_r = base_eval(h, r.ravel(), np.repeat(s[sel], u.size)).reshape(r.shape)
         acc[sel] = np.sum(np.exp(a * (t[sel, None] - r)) * k_r * (span * w[None, :]), axis=1)
 
-    # carry every chain forward one link per step
-    head = np.flatnonzero(~chained)
-    length = np.diff(np.append(head, t.size))
-    for step in range(1, int(length.max())):
-        live = length > step
-        head, length = head[live], length[live]
-        cur = head + step
-        acc[cur] += np.exp(a * (t[cur] - t[cur - 1])) * acc[cur - 1]
-
+    link = np.zeros(t.shape)
+    np.exp(a * (t - t_prev), out=link, where=chained)
     out = np.empty(t.shape)
-    out[order] = acc
+    out[order] = linear_scan(acc, link)
     return out
 
 
@@ -574,13 +570,11 @@ class GaussianProcessSpec:
     T: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise DomainError(f"horizon T must be finite and positive, got T={self.T}")
+        check_horizon(self.T)
         if len(self.components) < 1:
             raise DomainError("a process spec needs at least one component")
         for k, _ in self.components:
-            if abs(k.T - self.T) > 1e-12:
-                raise DomainError("all component kernels must share the spec horizon")
+            shared_horizon(k.T, self.T, "a component kernel and its spec")
 
     @property
     def multiplicity(self) -> int:
@@ -627,6 +621,8 @@ def covariance(kernel: VolterraKernel, measure: IntensityMeasure, t: float, s: f
     """R(t, s) = int_0^(t^s) k(t, r) k(s, r) density(r) dr by graded quadrature."""
     if measure.is_singular:
         raise DomainError("covariance by quadrature requires an absolutely continuous measure")
+    if not (t >= 0.0 and s >= 0.0):  # NaN fails too
+        raise DomainError(f"covariance times must be >= 0, got t={t}, s={s}")
     grid = grid or QuadratureGrid()
     upper = min(t, s)
     if upper <= 0.0:

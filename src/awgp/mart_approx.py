@@ -21,17 +21,17 @@ with the integral on the self-similar distance's graded unit rule.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_horizon
 from .gauss_aw import (_W16, _X16, _clamped_at_zero, _graded_unit_nodes, _run_with_crosscheck,
                        _unit_rule_size)
 # eval_mg_kernel and graded_gauss go unused here: the benchmark tracer binds them by name
 from .kernels import MolchanGolosov, _check_hurst, _unit_row, _UnitRow, eval_mg_kernel  # noqa: F401
-from .quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent  # noqa: F401
+from .quadrature import (QuadratureGrid, graded_gauss, graded_midpoint,  # noqa: F401
+                         grading_exponent, linear_scan)
 
 __all__ = ["MartingaleApproxResult", "optimal_volatility", "mart_approx_distance"]
 
@@ -80,34 +80,19 @@ class MartingaleApproxResult:
                    h=float(d["h"]), T=float(d["T"]), grid_meta=dict(d.get("grid_meta", {})))
 
 
-def _checked(h, T) -> tuple[float, float]:
-    _check_hurst(h)
-    if not (math.isfinite(T) and T > 0.0):
-        raise DomainError(f"horizon T must be finite and > 0, got {T}")
-    return float(h), float(T)
-
-
-def _reverse_scan(q: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """f with f_j = q_j + c_j f_(j+1), f past the end 0, by recursive doubling."""
-    f, c = q.copy(), c.copy()
-    step = 1
-    while step < f.size:
-        f[:-step] += c[:-step] * f[step:]
-        c[:-step] *= c[step:]
-        step *= 2
-    return f
-
-
 def _forward_rho(row: _UnitRow, y: np.ndarray, d: np.ndarray, n_end: int) -> np.ndarray:
     """rho_1(y) = y^(h+1/2) G(y) / d at nodes y in (0, 1) with offsets d = 1 - y.
 
     The node values and 1/2 cut [min y, 1] into panels of 16 Gauss nodes in log x below 1/2
     and log(1 - x) above; a panel whose half-width passes its distance to that coordinate's
     singular point 0 (x = 1, or x = 0) is cut evenly, which only sparse nodes near 1/2 need.
+    Below 1/2 the integrand is about e^(-mu v), v = log(x/x_j), mu = h + 1/2 + p0: a panel across
+    which that falls past e^-30 (H near 1) takes Gauss nodes in e^(-mu v) instead, where it is flat.
     [max(y, 1/2), 1] takes the graded unit rule of ``n_end`` nodes with the end power
     d^(h-1/2), built on the offsets.  Each panel is scaled by its left end x_j:
     F_j = x_j^(h+1/2) G(x_j) = Q_j + (x_j/x_(j+1))^(h+1/2) F_(j+1), summed by
-    :func:`_reverse_scan`, so no partial sum overflows where G would (H near 1, y below 1e-150).
+    :func:`~awgp.quadrature.linear_scan` on reversed views, so no partial sum overflows where G
+    would (H near 1, y below 1e-150).
     """
     a = row.h + 0.5
     order = np.lexsort((-d, y))
@@ -123,7 +108,12 @@ def _forward_rho(row: _UnitRow, y: np.ndarray, d: np.ndarray, n_end: int) -> np.
     pid = np.repeat(np.arange(k.size), k)
     step = (width / k)[pid]
     sub = np.arange(pid.size) - np.repeat(np.cumsum(k) - k, k)
-    e = np.exp((coord[pid] + step * sub)[:, None] + step[:, None] * _X16)
+    mu = a + row.p0
+    off = step[:, None] * _X16
+    steep = ~right[pid] & (mu * step > 30.0)
+    fall = -np.expm1(-mu * step[steep, None])
+    off[steep] = -np.log1p(-fall * _X16) / mu
+    e = np.exp((coord[pid] + step * sub)[:, None] + off)
     on_right = right[pid][:, None]
     x, xd = np.where(on_right, 1.0 - e, e), np.where(on_right, e, 1.0 - e)
     _, d_end, w_end = _graded_unit_nodes(0.0, row.h - 0.5, n_end)
@@ -131,9 +121,10 @@ def _forward_rho(row: _UnitRow, y: np.ndarray, d: np.ndarray, n_end: int) -> np.
     g = row.at(np.concatenate([x.ravel(), xe]), np.concatenate([xd.ravel(), de]))
     # x^-(a+1) dx is x^-a du below 1/2 and x^-(a+1) (1 - x) dv above
     panel = (bx[pid, None] / x) ** a * g[:x.size].reshape(x.shape) * np.where(on_right, xd / x, 1.0)
+    panel[steep] *= np.exp(mu * off[steep]) * fall / (mu * step[steep, None])
     q = np.append(np.bincount(pid, panel @ _W16 * np.abs(step), minlength=k.size),
                   bx[-1] ** a * bd[-1] * (w_end @ (xe ** -(a + 1.0) * g[x.size:])))
-    f = _reverse_scan(q, np.append((bx[:-1] / bx[1:]) ** a, 0.0)) / bd
+    f = linear_scan(q[::-1], np.append((bx[:-1] / bx[1:]) ** a, 0.0)[::-1])[::-1] / bd
     if bx.size > y.size:
         f = np.delete(f, cut)
     out = np.empty_like(f)
@@ -145,10 +136,9 @@ def optimal_volatility(h: float, r, T: float, quad_nodes: int = 256):
     """Forward-averaged kernel rho_H(r) = (T - r)^{-1} int_r^T k_H(s, r) ds, on the cumulative
     rule of this module; ``quad_nodes`` is the node count of its end rule on
     [max(r/T, 1/2), 1] (rounded to a multiple of 16, at least 32)."""
-    h, T = _checked(h, T)
-    if isinstance(quad_nodes, bool) or not isinstance(quad_nodes, (int, np.integer)) \
-            or quad_nodes < 1:
-        raise DomainError(f"quad_nodes must be an integer >= 1, got {quad_nodes!r}")
+    _check_hurst(h)
+    h, T = float(h), check_horizon(T)
+    quad_nodes = check_count(quad_nodes, "quad_nodes")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all((r_arr > 0.0) & (r_arr < T)):  # NaN fails too
         raise DomainError("optimal_volatility requires finite 0 < r < T (singular at r = 0)")
@@ -170,7 +160,8 @@ def mart_approx_distance(h: float, T: float = 1.0,
     cumulative rule.  ``n_t`` does not apply.  ``crosscheck_rtol`` compares with the rule at
     half ``n_s`` and raises ConvergenceError past it.
     """
-    h, T = _checked(h, T)
+    _check_hurst(h)
+    h, T = float(h), check_horizon(T)
     row = _unit_row(MolchanGolosov(h=h))
     gamma = grading_exponent(2.0 * abs(h - 0.5), h)
     scale = T ** (2.0 * h + 1.0)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .fsde import _BLOCK, CouplingControl, _coupling, _noise_block
 from .gauss_aw import (TriangularFactor, cholesky_causal_factor, continuous_aw_unit,
                        _eval_components, _psd_sqrt, _t_matrix)
@@ -90,7 +90,7 @@ def bruteforce_discrete_cross_term(k1: TriangularFactor | np.ndarray,
     if a1.shape != a2.shape:
         raise DomainError("factor dimension mismatch")
     diag = np.sum(a1 * a2, axis=0)
-    rho_grid = np.linspace(-1.0, 1.0, grid_steps)
+    rho_grid = np.linspace(-1.0, 1.0, check_count(grid_steps, "grid_steps", 2))
     per_coord = np.max(diag[:, None] * rho_grid[None, :], axis=1)
     return float(np.sum(per_coord))
 
@@ -126,8 +126,8 @@ def mc_formula_check(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     """
     if spec1.multiplicity != 1 or spec2.multiplicity != 1:
         raise DomainError("mc_formula_check requires unit multiplicity")
-    if n_paths < 2 or n_steps < 1:  # a standard error needs two paths
-        raise DomainError(f"need n_paths >= 2 and n_steps >= 1, got {n_paths}, {n_steps}")
+    check_count(n_paths, "n_paths", 2)  # a standard error needs two paths
+    check_count(n_steps, "n_steps")
     grid = grid or QuadratureGrid()
     meas1 = spec1.components[0][1]
     meas2 = spec2.components[0][1]
@@ -213,13 +213,14 @@ def psd_feasibility_sampler(a: np.ndarray, b: np.ndarray, n_samples: int,
 
 def _run_scheme(integrand, a: float, b: float, scheme: dict) -> float:
     name = scheme.get("scheme", "graded_midpoint")
-    n = int(scheme.get("n", 256))
+    n = check_count(scheme.get("n", 256), "scheme n")
     gamma = float(scheme.get("gamma", 2.0))
     cluster = scheme.get("cluster", "left")
     if name == "graded_midpoint":
         x, w = graded_midpoint(a, b, n, gamma=gamma, cluster=cluster)
     elif name == "graded_gauss":
-        x, w = graded_gauss(a, b, max(n // 4, 2), order=int(scheme.get("order", 4)),
+        x, w = graded_gauss(a, b, max(n // 4, 2),
+                            order=check_count(scheme.get("order", 4), "scheme order"),
                             gamma=gamma, cluster=cluster)
     elif name == "gauss_jacobi":
         # the rule absorbs the (x - a)^beta factor, so it is divided back out

@@ -4,7 +4,8 @@
   endpoints with a power-law grading), the continuous distance core's one
   rule, and
 * composite Gauss-Legendre panels on a graded mesh, plus a true Gauss-Jacobi
-  rule for integrands of the form (t - s)^beta * smooth.
+  rule for integrands of the form (t - s)^beta * smooth, and
+* the scan that chains panel integrals into cumulative ones.
 
 Midpoint and graded nodes never touch the interval endpoints, so kernel
 singularities at s = 0 and on the diagonal t = s are never sampled.
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 __all__ = ["QuadratureGrid", "graded_midpoint", "graded_gauss", "gauss_jacobi_power",
-           "grading_exponent"]
+           "grading_exponent", "linear_scan"]
 
 
 def grading_exponent(alpha: float, h_min: float = 0.5, cap: float = 40.0) -> float:
@@ -57,9 +58,8 @@ class QuadratureGrid:
     crosscheck_rtol: float | None = None
 
     def __post_init__(self):
-        for n in (self.n_s, self.n_t):
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-                raise DomainError(f"grid node counts must be integers >= 1, got {n!r}")
+        check_count(self.n_s, "grid n_s")
+        check_count(self.n_t, "grid n_t")
         rtol = self.crosscheck_rtol
         if rtol is not None and not (math.isfinite(rtol) and rtol > 0.0):
             raise DomainError(f"crosscheck_rtol must be None or finite and > 0, got {rtol!r}")
@@ -116,3 +116,16 @@ def gauss_jacobi_power(a: float, b: float, n: int, beta: float) -> tuple[np.ndar
     scale = ((b - a) / 2.0) ** (beta + 1.0)
     nodes = a + (b - a) * (x + 1.0) / 2.0
     return nodes, scale * w
+
+
+def linear_scan(q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """f with f_j = q_j + c_j f_(j-1), f_(-1) = 0 (a link c_j = 0 starts a chain at j), by
+    recursive doubling (Blelloch, "Prefix sums and their applications", 1990): ceil(log2 n)
+    vectorised passes.  A reverse recurrence is this scan of reversed views."""
+    f, c = q.copy(), c.copy()
+    step = 1
+    while step < f.size:
+        f[step:] += c[step:] * f[:-step]
+        c[step:] *= c[:-step]
+        step *= 2
+    return f

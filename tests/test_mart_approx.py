@@ -163,6 +163,16 @@ class TestAgainstQuadpack:
         ref = np.array([_mg_forward_mean(0.05, r, 1.0) for r in res.r_nodes[idx]])
         assert np.max(np.abs(res.rho[idx] - ref) / ref) < 1e-10
 
+    @pytest.mark.parametrize("h", [0.95, 0.97, 0.98, 0.99])
+    def test_near_one(self, h):
+        # the first midpoint lies near 1e-97 from H = 0.97 on, and the integrand falls by e^-55
+        # across its panel to the next node: 16 Gauss nodes uniform in log x missed by 1.5e-7
+        # there, and the distance at H = 0.99 by 1.7e-5
+        res = mart_approx_distance(h, 1.0)
+        ref = np.array([_mg_forward_mean(h, r, 1.0) for r in res.r_nodes[:3]])
+        assert np.max(np.abs(res.rho[:3] - ref) / ref) < 1e-10
+        assert res.distance_squared == pytest.approx(_mart_distance_reference(h, 1.0), rel=1e-10)
+
     def test_time_scaling(self):
         h = 0.3
         base = mart_approx_distance(h, 1.0)
