@@ -100,9 +100,12 @@ class TriangularFactor:
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        if np.any(np.triu(a, k=1) != 0.0):
-            raise DomainError("factor must be strictly lower triangular above the diagonal")
-        if np.any(np.diag(a) <= 0.0):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DomainError(f"factor must be a square matrix, got shape {a.shape}")
+        for lo in range(0, a.shape[0], 64):  # row blocks: no N x N temporary; NaN counts as nonzero
+            if np.any(a[lo:lo + 64, lo + 64:]) or np.any(np.triu(a[lo:lo + 64, lo:lo + 64], k=1)):
+                raise DomainError("factor must be strictly lower triangular above the diagonal")
+        if not np.all(np.diag(a) > 0.0):
             raise DomainError("factor diagonal must be positive")
         object.__setattr__(self, "entries", a)
 
@@ -485,24 +488,29 @@ def triangular_integral(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     gamma_s, gamma_t = _pair_gammas([k1], [k2])
     q = int(np.clip(grid.n_s // partition_count, 2, 64))
     edges = np.linspace(0.0, T, partition_count + 1)
-
-    total = 0.0
-    for c in range(partition_count):
-        lo, hi = edges[c], edges[c + 1]
-        if c == 0 and (k1.origin_exponent > 0 or k2.origin_exponent > 0):
-            r, w = graded_midpoint(lo, hi, q, gamma=gamma_s, cluster="left")
-        else:
-            r, w = graded_midpoint(lo, hi, q, gamma=1.0, cluster="left")
-        r1 = np.repeat(r, q)
-        r2 = np.tile(r, q)
-        rmax = np.maximum(r1, r2)
-        t_mat, w_mat = _t_matrix(rmax, T, grid.n_t, gamma_t)
-        ip = np.sum(_eval_components([k1], t_mat, r1)[0]
-                    * _eval_components([k2], t_mat, r2)[0] * w_mat, axis=1)
-        w1 = (meas1.density_at(r) * w)[np.repeat(np.arange(q), q)]
-        w2 = (meas2.density_at(r) * w)[np.tile(np.arange(q), q)]
-        total += float(np.sqrt(np.sum(ip * ip * w1 * w2)))
-    return total
+    graded = k1.origin_exponent > 0 or k2.origin_exponent > 0
+    r, w = (np.array(x) for x in zip(*(
+        graded_midpoint(edges[c], edges[c + 1], q, cluster="left",
+                        gamma=gamma_s if c == 0 and graded else 1.0) for c in range(partition_count))))
+    rho1, rho2 = meas1.density_at(r) * w, meas2.density_at(r) * w
+    # pair (r_i, r_j) of a cell's increasing nodes takes k1 on row (top, i) and k2 on row
+    # (top, j), top = max(i, j), of the q(q+1)/2 rows k(t-grid of r_a, r_b), b <= a
+    a, b = np.tril_indices(q)
+    i, j = np.divmod(np.arange(q * q), q)
+    top = np.maximum(i, j)
+    row1, row2 = top * (top + 1) // 2 + i, top * (top + 1) // 2 + j
+    per_chunk = max(1, (1 << 16) // (q * q * grid.n_t))  # 512 KiB of (pair, t) values
+    cell_sums = []
+    for c in (slice(lo, lo + per_chunk) for lo in range(0, partition_count, per_chunk)):
+        t_mat, w_mat = _t_matrix(r[c].ravel(), T, grid.n_t, gamma_t)
+        t_rows, s_rows = t_mat.reshape(-1, q, grid.n_t)[:, a].ravel(), np.repeat(r[c][:, b], grid.n_t)
+        prod = np.take(k1.eval(t_rows, s_rows).reshape(-1, a.size, grid.n_t), row1, axis=1)
+        prod *= np.take(k2.eval(t_rows, s_rows).reshape(-1, a.size, grid.n_t), row2, axis=1)
+        prod *= np.take(w_mat.reshape(-1, q, grid.n_t), top, axis=1)
+        ip = np.sum(prod, axis=2)  # C-ordered, as every row below: numpy sums rows pairwise
+        cell_sums.append(np.sqrt(np.sum(
+            ip * ip * np.take(rho1[c], i, axis=1) * np.take(rho2[c], j, axis=1), axis=1)))
+    return float(np.cumsum(np.concatenate(cell_sums))[-1])  # cell after cell, as a running sum
 
 
 # ---------------------------------------------------------------------------

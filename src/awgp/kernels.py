@@ -19,9 +19,10 @@ from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import gammainc, hyp1f1
 
-from .errors import (DomainError, MeasureOrderingError, SingularityError, check_count,
-                     check_horizon, shared_horizon)
+from .errors import (ConvergenceError, DomainError, MeasureOrderingError, SingularityError,
+                     check_count, check_horizon, shared_horizon)
 from .quadrature import (QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent,
                          linear_scan)
 from .specfun import gamma_fn, hyp2f1
@@ -120,11 +121,6 @@ def eval_mg_kernel(h: float, t, s):
     return _on_times(partial(_mg_core, h), t, s, "Molchan-Golosov kernel")
 
 
-def _rl_core(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Riemann-Liouville kernel for 0 <= s <= t only (0 on a divergent diagonal); no validation."""
-    return _rl_at(h, t - s)
-
-
 def _rl_at(h: float, d: np.ndarray) -> np.ndarray:
     """Riemann-Liouville kernel from d = t - s >= 0 on flat arrays; no validation."""
     return _diag_power(d, h - 0.5) / gamma_fn(h + 0.5)
@@ -133,7 +129,7 @@ def _rl_at(h: float, d: np.ndarray) -> np.ndarray:
 def eval_rl_kernel(h: float, t, s):
     """Riemann-Liouville kernel (t - s)^(H - 1/2) / Gamma(H + 1/2); 0 for s > t."""
     _check_hurst(h)
-    return _on_times(partial(_rl_core, h), t, s)
+    return _on_times(lambda t, s: _rl_at(h, t - s), t, s)
 
 
 def _fou_rate(lam: float, base: str, convention: str, n_inner: int) -> float:
@@ -144,6 +140,8 @@ def _fou_rate(lam: float, base: str, convention: str, n_inner: int) -> float:
         raise DomainError(f"fOU node count must be a multiple of 4, got {n_inner!r}")
     if base not in ("mg", "rl"):
         raise DomainError(f"fOU base kernel must be 'mg' or 'rl', got {base!r}")
+    if base == "rl" and n_inner != 64:  # the node count is the 'mg' base's inner rule
+        raise DomainError(f"fOU base 'rl' is in closed form: n_inner must stay 64, got {n_inner!r}")
     if convention not in ("mild", "forward"):
         raise DomainError(f"fOU convention must be 'mild' or 'forward', got {convention!r}")
     return lam if convention == "forward" else -lam
@@ -152,16 +150,27 @@ def _fou_rate(lam: float, base: str, convention: str, n_inner: int) -> float:
 def _fou_core(h: float, lam: float, t: np.ndarray, s: np.ndarray,
               n_inner: int, base: str, convention: str) -> np.ndarray:
     a = _fou_rate(lam, base, convention, n_inner)
-    base_eval = _mg_core if base == "mg" else _rl_core
-    out = base_eval(h, t, s)
-    if a != 0.0:
-        out += a * _fou_inner(h, a, t.ravel(), s.ravel(), n_inner, base_eval).reshape(t.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        if base == "rl":
+            # k_RL(d) + a int_0^d e^(a (d - u)) k_RL(u) du, d = t - s: by incomplete gamma for a > 0
+            # (scipy's hyp1f1 is up to 7e-10 off near H = 0.6, a d = 2.24), else by DLMF 13.4.1
+            d = t - s
+            if a > 0.0:
+                out = _rl_at(h, d) + a ** (0.5 - h) * np.exp(a * d) * gammainc(h + 0.5, a * d)
+            else:
+                out = _rl_at(h, d) * hyp1f1(1.0, h + 0.5, a * d)
+        else:
+            out = _mg_core(h, t, s)
+            if a != 0.0:
+                out += a * _fou_inner(h, a, t.ravel(), s.ravel(), n_inner).reshape(t.shape)
+    if not math.isfinite(out.sum()):  # one reduction: any inf or NaN makes the sum so
+        raise ConvergenceError(f"fOU kernel overflows the float range at rate lam = {lam}")
     return out
 
 
-def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int,
-               base_eval) -> np.ndarray:
-    """I(t, s) = int_s^t exp(a (t - r)) k_base(r, s) dr for 0 <= s <= t, on flat arrays.
+def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int) -> np.ndarray:
+    """I(t, s) = int_s^t exp(a (t - r)) k_MG(r, s) dr for 0 < s <= t, on flat arrays: the
+    fOU kernel's inner integral on the Molchan-Golosov base (the RL base is in closed form).
 
     Points sharing an s are taken in increasing t and chained by the Volterra
     recursion I(t_j) = exp(a (t_j - t_{j-1})) I(t_{j-1}) + the integral over
@@ -172,11 +181,13 @@ def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int,
     A chain start's error is carried to every later point of the chain, so it
     gets 2 * n_inner nodes with the grading steepened to the 4-node rule's
     order.  :func:`~awgp.quadrature.linear_scan` sums the chains, a link 0 at
-    each start.  Only differences of t enter an exponential, so a large |a| T
-    cannot overflow a mild (a < 0) kernel.  A diagonal point integrates an
-    empty range to exactly 0 and chains to no later point.
+    each start.  Points already in (s, t) order, as the distance core lays
+    them out, are not sorted.  Only differences of t enter an exponential, so
+    a large |a| T cannot overflow a mild (a < 0) kernel.  A diagonal point
+    integrates an empty range to exactly 0 and chains to no later point.
     """
-    order = np.lexsort((t, s))
+    ds = np.diff(s)
+    order = np.lexsort((t, s)) if np.any((ds < 0) | (ds == 0) & (np.diff(t) < 0)) else slice(None)
     t, s = t[order], s[order]
     t_prev = np.concatenate([[0.0], t[:-1]])
     chained = np.concatenate([[False], s[1:] == s[:-1]]) & (t_prev - s >= t - t_prev)
@@ -192,7 +203,7 @@ def _fou_inner(h: float, a: float, t: np.ndarray, s: np.ndarray, n_inner: int,
             continue  # no chained point: the base core gets no empty input
         span = (t - lo)[sel, None]
         r = lo[sel, None] + span * u[None, :]
-        k_r = base_eval(h, r.ravel(), np.repeat(s[sel], u.size)).reshape(r.shape)
+        k_r = _mg_core(h, r.ravel(), np.repeat(s[sel], u.size)).reshape(r.shape)
         acc[sel] = np.sum(np.exp(a * (t[sel, None] - r)) * k_r * (span * w[None, :]), axis=1)
 
     link = np.zeros(t.shape)
@@ -212,7 +223,8 @@ def eval_fou_kernel(h: float, lam: float, t, s, quad_nodes: int = 64,
     a = +lam (solution kernel of dX = +lam X dt + dZ).  Exactly one of the
     two reproduces a simulated OU driven with drift -lam * x; the Monte
     Carlo probe in the acceptance suite records which (it is ``mild``).
-    At lam = 0 both reduce to the base kernel.
+    At lam = 0 both reduce to the base kernel.  The ``rl`` base is in closed
+    form: ``quad_nodes`` sets the inner rule of the ``mg`` base only.
     """
     _check_hurst(h)
     core = partial(_fou_core, h, lam, n_inner=quad_nodes, base=base, convention=convention)
@@ -290,6 +302,8 @@ class RiemannLiouville(_Fractional):
 
 @dataclass(frozen=True)
 class FractionalOU(_Fractional):
+    """fOU kernel (:func:`eval_fou_kernel`); ``n_inner`` sets the ``mg`` base's inner rule only."""
+
     h: float = 0.7
     lam: float = 1.0
     base: str = "mg"

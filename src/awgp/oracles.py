@@ -20,7 +20,6 @@ from typing import Iterator
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
 from .errors import DomainError, check_count
@@ -173,6 +172,7 @@ def cholesky_marginal_paths(kernel: VolterraKernel, measure: IntensityMeasure,
     quadrature covariance matrix.  The factorization exposes no driving
     increments, so it cannot host a coupling control.
     """
+    n_paths = check_count(n_paths, "n_paths")
     grid = grid or QuadratureGrid()
     times = np.asarray(times, dtype=float)
     n = times.size
@@ -197,6 +197,7 @@ def psd_feasibility_sampler(a: np.ndarray, b: np.ndarray, n_samples: int,
     matrix [[A, Gamma], [Gamma^T, B]]; Q is drawn as a random matrix scaled
     by its largest singular value times a uniform factor in [0, 1].
     """
+    n_samples = check_count(n_samples, "n_samples")
     ra = _psd_sqrt(a)
     rb = _psd_sqrt(b)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 7))))
@@ -319,6 +320,7 @@ def _mg_forward_mean(h: float, r: float, T: float) -> float:
     """rho_H(r) = (T - r)^-1 int_r^T k_H(s, r) ds by QUADPACK in the offset d = s - r, with the
     d^(H - 1/2) end as its algebraic weight and scipy's hyp2f1 at z = -d/r for the rest of the
     kernel: 1 - s/r would lose the digits of z that r near T leaves."""
+    from scipy.integrate import quad
     val = quad(lambda d: scipy_hyp2f1(h - 0.5, 0.5 - h, h + 0.5, -d / r), 0.0, T - r,
                weight="alg", wvar=(h - 0.5, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
     return _mg_const(h) * val / (T - r)
@@ -327,6 +329,7 @@ def _mg_forward_mean(h: float, r: float, T: float) -> float:
 def _mart_distance_reference(h: float, T: float) -> float:
     """Best-martingale distance by nested QUADPACK: int_0^T int_r^T (k - rho)^2 ds dr =
     int_0^T Var B_H(s) ds - int_0^T (T - r) rho_H(r)^2 dr, rho_H from :func:`_mg_forward_mean`."""
+    from scipy.integrate import quad
     return T ** (2 * h + 1) / (2 * h + 1) - quad(
         lambda r: (T - r) * _mg_forward_mean(h, r, T) ** 2, 0.0, T,
         epsabs=0.0, epsrel=1e-13, limit=200)[0]

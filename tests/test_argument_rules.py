@@ -14,13 +14,15 @@ import pytest
 from awgp.cli import main
 from awgp.config import build_controls, build_kernel, build_process_spec, build_scenario
 from awgp.errors import DomainError
-from awgp.fsde import (CouplingControl, FsdeSpec, estimate_coupling_cost, make_diffusion,
+from awgp.fsde import (CouplingControl, FsdeSpec, estimate_coupling_cost, lamperti_inverse,
+                       lamperti_inverse_interpolator, lamperti_transform, make_diffusion,
                        make_drift, simulate_coupled_noise)
 from awgp.gauss_aw import continuous_aw_fbm, discretized_fbm_aw, triangular_integral
 from awgp.kernels import (Brownian, FractionalOU, IntensityMeasure, covariance,
                           eval_fou_kernel, fbm_spec)
 from awgp.mart_approx import mart_approx_distance, optimal_volatility
-from awgp.oracles import bruteforce_discrete_cross_term, mc_formula_check, quadrature_crosscheck
+from awgp.oracles import (bruteforce_discrete_cross_term, cholesky_marginal_paths,
+                          mc_formula_check, psd_feasibility_sampler, quadrature_crosscheck)
 from awgp.quadrature import QuadratureGrid
 
 BM = Brownian(T=1.0)
@@ -80,6 +82,17 @@ COUNTS = {
     "quadrature_crosscheck-order": ("scheme order", 1, lambda v: _crosscheck(order=v)),
     "config-fou-n_inner": ("fOU node count", 8,
                            lambda v: build_kernel({"kind": "fou", "h": 0.7, "n_inner": v}, 1.0)),
+    "lamperti_transform-quad_nodes": (
+        "quad_nodes", 8, lambda v: lamperti_transform(np.cosh, 0.0, 1.0, quad_nodes=v)),
+    "lamperti_inverse-quad_nodes": (
+        "quad_nodes", 8, lambda v: lamperti_inverse(np.cosh, 0.0, 0.0, quad_nodes=v)),
+    "lamperti_inverse_interpolator-n": (
+        "n", 2, lambda v: lamperti_inverse_interpolator(np.cosh, 0.0, (-1.0, 1.0), n=v)),
+    "cholesky_marginal_paths-n_paths": (
+        "n_paths", 1, lambda v: cholesky_marginal_paths(BM, IntensityMeasure.lebesgue(),
+                                                        np.array([0.5, 1.0]), v, seed=0)),
+    "psd_feasibility_sampler-n_samples": (
+        "n_samples", 1, lambda v: next(psd_feasibility_sampler(np.eye(2), np.eye(2), v))),
     "config-random_piecewise-cells": ("random_piecewise cells", 1, lambda v: _piecewise(cells=v)),
     "config-random_piecewise-count": ("random_piecewise count", 1, lambda v: _piecewise(count=v)),
     "config-random_piecewise-seed": ("random_piecewise seed", 0, lambda v: _piecewise(seed=v)),

@@ -212,6 +212,16 @@ class TestAwUnitMulti:
             main(["aw-unit", "--config", str(cfg)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("base", ["mg", "rl"])
+    def test_overflowing_fou_kernel_exit_3(self, base, spec_files, tmp_path, capsys):
+        fou = tmp_path / "fou.json"
+        fou.write_text(json.dumps({"T": 1.0, "components": [{"kernel": {
+            "kind": "fou", "h": 0.7, "lam": 1000.0, "base": base, "convention": "forward"}}]}))
+        code, out, err = run_cli(capsys, "aw-unit", "--spec1", spec_files[0], "--spec2",
+                                 str(fou), "--grid", "32")
+        assert code == 3 and out == ""
+        assert "lam = 1000" in err
+
     # np.interp needs increasing abscissae and would silently interpolate anything else
     @pytest.mark.parametrize("component", [
         {"kernel": {"kind": "constant_volatility", "s": [0.5, 0.0, 1.0], "rho": [1, 2, 3]}},
@@ -357,7 +367,8 @@ class TestSimulate:
         records = json.loads(out)
         assert len(records) == 1 and records[0]["mean"] >= 0.0
 
-    @pytest.mark.parametrize("fou", [{"lam": float("nan")}, {"lam": 1.0, "n_inner": 10}])
+    @pytest.mark.parametrize("fou", [{"lam": float("nan")}, {"lam": 1.0, "n_inner": 10},
+                                     {"lam": 1.0, "base": "rl", "n_inner": 32}])
     def test_bad_fou_kernel_exit_2(self, tmp_path, capsys, fou):
         sc = _scenario(tmp_path, kernel2={"kind": "fou", **fou}, M=16, n_paths=60,
                        controls=["synchronous"])

@@ -9,7 +9,7 @@ from awgp import gauss_aw
 from awgp.errors import ConvergenceError, DomainError, NotPositiveDefiniteError
 from awgp.gauss_aw import (CovMatrix, DistanceReport, _densities, _distance_core,
                            _eval_components, _nodes, _pair_gammas, _run_with_crosscheck,
-                           _trace_term, cholesky_causal_factor, continuous_aw_fbm,
+                           _t_matrix, _trace_term, cholesky_causal_factor, continuous_aw_fbm,
                            continuous_aw_multi, continuous_aw_unit, discrete_aw,
                            discretized_fbm_aw, fbm_cov_matrix, levy_noncanonical_check,
                            trace_bound_optimal_gamma, triangular_integral)
@@ -17,7 +17,7 @@ from awgp.kernels import (Brownian, CallableKernel, ConstantVolatility, Gaussian
                           IntensityMeasure, MolchanGolosov, RiemannLiouville,
                           cantor_martingale_spec, eval_mg_kernel, fbm_spec, fou_spec)
 from awgp.oracles import bruteforce_discrete_cross_term, get_golden, psd_feasibility_sampler
-from awgp.quadrature import QuadratureGrid
+from awgp.quadrature import QuadratureGrid, graded_midpoint
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +120,17 @@ class TestCholesky:
             TriangularFactor(np.array([[1.0, 0.1], [0.0, 1.0]]))
         with pytest.raises(DomainError):
             TriangularFactor(np.array([[1.0, 0.0], [0.5, -1.0]]))
+        for bad in (np.ones(2), np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
+                    np.array([[np.nan, 0.0], [0.0, 1.0]])):
+            with pytest.raises(DomainError):
+                TriangularFactor(bad)
+        # the upper triangle is checked in row blocks: entries in, beside and past a block
+        for i, j in [(3, 5), (3, 100), (63, 64), (64, 65), (129, 129 + 1)]:
+            a = np.eye(131)
+            a[i, j] = np.nan if i == 3 else 1e-300
+            with pytest.raises(DomainError, match="lower triangular"):
+                TriangularFactor(a)
+        TriangularFactor(np.tril(np.ones((131, 131))))
 
 
 class TestDiscreteAw:
@@ -603,6 +614,39 @@ class TestTriangularIntegral:
         assert triangular_integral(fbm_spec(0.5), bm, 32) == expect
         assert triangular_integral(fou_spec(0.5, 0.0), bm, 32) == expect
 
+    @pytest.mark.parametrize("cells", [1, 7, 32, 64, 1024])
+    @pytest.mark.parametrize("pair", ["mg-mg", "rl-bm", "callable-bm", "mg-fou"])
+    def test_equals_the_per_cell_loop(self, pair, cells):
+        spec1, spec2 = {
+            "mg-mg": (fbm_spec(0.3), fbm_spec(0.8)),
+            "rl-bm": (_unit(RiemannLiouville(h=0.35)),  # and a weighted measure
+                      _unit(Brownian(), IntensityMeasure.from_density(lambda s: 1.0 + s * s))),
+            "callable-bm": (_unit(CallableKernel(fn=lambda t, s: np.cos(t - 2.0 * s))),
+                            _unit(Brownian())),
+            "mg-fou": (fbm_spec(0.6), fou_spec(0.7, 1.3)),
+        }[pair]
+        value, expect = triangular_integral(spec1, spec2, cells), _triangular_per_cell(spec1, spec2,
+                                                                                      cells)
+        if pair == "mg-fou":
+            # the fOU kernel chains the points of each s by a recursive-doubling scan, and the
+            # loop's duplicate rows (the pairs sharing a t-grid) change its association
+            assert value == pytest.approx(expect, rel=1e-14, abs=0.0)
+        else:
+            assert value == expect  # pointwise kernels: the same values in the same sums
+
+    def test_peak_memory_is_that_of_one_chunk(self):
+        # at grid 4096 each of 8 cells has q = 64 nodes: 2080 kernel rows of 256 t-nodes
+        # (4.3 MB a kernel) and 4096 node pairs (8.4 MB an array).  Measured peaks: 28.7 MiB
+        # in chunks, 228 MiB with all cells at once, 49 MiB for the earlier per-cell loop
+        spec1, spec2 = _unit(RiemannLiouville(h=0.35)), _unit(Brownian())
+        tracemalloc.start()
+        try:
+            triangular_integral(spec1, spec2, 8, QuadratureGrid(4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             triangular_integral(fbm_spec(0.5), fbm_spec(0.7), 0)
@@ -610,6 +654,29 @@ class TestTriangularIntegral:
             components=[(Brownian(T=1.0), IntensityMeasure.lebesgue())], T=1.0)
         with pytest.raises(DomainError):
             triangular_integral(bm, cantor_martingale_spec(), 4)
+
+
+def _triangular_per_cell(spec1, spec2, partition_count, grid=None):
+    """Reference for ``triangular_integral``: each cell on its own, both kernels on all q^2
+    node pairs (r1, r2) on the t-grid of max(r1, r2), summed cell after cell."""
+    grid = grid or QuadratureGrid()
+    (k1, meas1), (k2, meas2), T = spec1.components[0], spec2.components[0], spec1.T
+    gamma_s, gamma_t = _pair_gammas([k1], [k2])
+    q = int(np.clip(grid.n_s // partition_count, 2, 64))
+    edges = np.linspace(0.0, T, partition_count + 1)
+    total = 0.0
+    for c in range(partition_count):
+        graded = c == 0 and (k1.origin_exponent > 0 or k2.origin_exponent > 0)
+        r, w = graded_midpoint(edges[c], edges[c + 1], q, gamma=gamma_s if graded else 1.0,
+                               cluster="left")
+        r1, r2 = np.repeat(r, q), np.tile(r, q)
+        t_mat, w_mat = _t_matrix(np.maximum(r1, r2), T, grid.n_t, gamma_t)
+        ip = np.sum(_eval_components([k1], t_mat, r1)[0]
+                    * _eval_components([k2], t_mat, r2)[0] * w_mat, axis=1)
+        w1 = (meas1.density_at(r) * w)[np.repeat(np.arange(q), q)]
+        w2 = (meas2.density_at(r) * w)[np.tile(np.arange(q), q)]
+        total += float(np.sqrt(np.sum(ip * ip * w1 * w2)))
+    return total
 
 
 def _disjoint_window_kernels(edges):

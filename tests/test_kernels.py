@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as sp_gamma
 from scipy.special import hyp1f1
 
-from awgp.errors import DomainError, MeasureOrderingError, SingularityError
+from awgp.errors import ConvergenceError, DomainError, MeasureOrderingError, SingularityError
 from awgp.kernels import (Brownian, CallableKernel, ConstantVolatility, FractionalOU,
                           GaussianProcessSpec,
                           IntensityMeasure, MolchanGolosov, RiemannLiouville, Tabulated,
@@ -236,16 +237,30 @@ def _rl_fou_closed_form(h, lam, convention, t, s):
 
 
 def _pointwise_rule(kernel, t, s):
-    """The inner integral on 2 n_inner graded nodes over [s, t] at every point (0 < s < t)."""
-    base_eval = eval_mg_kernel if kernel.base == "mg" else eval_rl_kernel
+    """The MG-base inner integral on 2 n_inner graded nodes over [s, t] at every point
+    (0 < s < t)."""
     a = -kernel.lam if kernel.convention == "mild" else kernel.lam
     u, w = graded_gauss(0.0, 1.0, kernel.n_inner // 2, order=4,
                         gamma=6.0 / (kernel.h + 0.5), cluster="left")
     r = s[:, None] + (t - s)[:, None] * u[None, :]
-    k_inner = base_eval(kernel.h, r.ravel(), np.repeat(s, u.size)).reshape(r.shape)
+    k_inner = eval_mg_kernel(kernel.h, r.ravel(), np.repeat(s, u.size)).reshape(r.shape)
     inner = np.sum(np.exp(a * (t[:, None] - r)) * k_inner * ((t - s)[:, None] * w[None, :]),
                    axis=1)
-    return base_eval(kernel.h, t, s) + a * inner
+    return eval_mg_kernel(kernel.h, t, s) + a * inner
+
+
+def _rl_fou_error(h, lam, convention, t, s):
+    """Error of the RL-base fOU kernel at (t, s) against mpmath (40 digits) on the same
+    offsets d = t - s: k_RL(d) M(1, H + 1/2, a d).  Relative to |k|, or to the base kernel's
+    size k_RL(d) where |k| is smaller: near the sign change of a mild kernel with H < 1/2
+    no rule on a rounded d is relatively accurate."""
+    got = eval_fou_kernel(h, lam, t, s, base="rl", convention=convention)
+    a = -lam if convention == "mild" else lam
+    with mpmath.workdps(40):
+        base = [mpmath.mpf(x) ** (h - 0.5) / mpmath.gamma(h + 0.5) for x in t - s]
+        exact = np.array([float(b * mpmath.hyp1f1(1, h + 0.5, a * mpmath.mpf(x)))
+                          for b, x in zip(base, t - s)])
+    return np.abs(got - exact) / np.maximum(np.abs(exact), np.array(base, dtype=float))
 
 
 class TestFouRecursion:
@@ -292,13 +307,45 @@ class TestFouRecursion:
     @pytest.mark.parametrize("base", ["mg", "rl"])
     @pytest.mark.parametrize("convention", ["mild", "forward"])
     def test_points_with_their_own_s_use_the_pointwise_rule(self, base, convention):
+        """The MG base integrates each lone point on its own; the RL base, in closed form,
+        meets the mpmath oracle."""
         k = FractionalOU(T=1.0, h=0.7, lam=1.3, base=base, convention=convention)
         rng = np.random.default_rng(11)
         s = rng.uniform(0.01, 0.9, 300)
         t = s + rng.uniform(1e-4, 0.5, 300)
         r, _ = graded_midpoint(0.0, 1.0, 64, gamma=2.5, cluster="both")  # as covariance lays out
         for tv, sv in ((t, s), (np.ones_like(r), r)):
-            assert np.array_equal(k.eval(tv, sv), _pointwise_rule(k, tv, sv))
+            if base == "mg":
+                assert np.array_equal(k.eval(tv, sv), _pointwise_rule(k, tv, sv))
+            else:
+                assert np.max(_rl_fou_error(0.7, 1.3, convention, tv, sv)) <= 1e-12
+
+    @pytest.mark.parametrize("h", np.round(np.arange(1, 20) * 0.05, 2))
+    def test_rl_base_closed_form_meets_mpmath(self, h):
+        s = np.full(24, 0.25)
+        t = s + np.concatenate([np.geomspace(1e-8, 0.05, 8), np.linspace(0.1, 1.0, 16)])
+        for lam in (0.5, 1.0, 5.0, 50.0):
+            for convention in ("mild", "forward"):
+                assert np.max(_rl_fou_error(h, lam, convention, t, s)) <= 1e-12, (lam, convention)
+
+    def test_rl_forward_where_scipy_hyp1f1_is_off(self):
+        """scipy's hyp1f1(1, 1.1, x) is up to 7e-10 off near x = 2.2375 (H = 0.6, a d)."""
+        d = np.linspace(0.444, 0.452, 33)
+        assert np.max(_rl_fou_error(0.6, 5.0, "forward", 0.25 + d, np.full(d.size, 0.25))) <= 1e-12
+
+    @pytest.mark.parametrize("base", ["mg", "rl"])
+    def test_overflowing_kernel_raises(self, base):
+        k = FractionalOU(T=1.0, h=0.7, lam=1000.0, base=base, convention="forward")
+        t_mat, s_mat = _core_points(k, 16, 16)
+        with pytest.raises(ConvergenceError, match="lam = 1000"):
+            k.eval(t_mat.ravel(), s_mat.ravel())
+
+    def test_node_count_is_for_the_mg_base_only(self):
+        with pytest.raises(DomainError, match="closed form"):
+            FractionalOU(T=1.0, h=0.7, lam=1.0, base="rl", n_inner=128)
+        with pytest.raises(DomainError, match="closed form"):
+            eval_fou_kernel(0.7, 1.0, 1.0, 0.5, quad_nodes=16, base="rl")
+        assert FractionalOU(T=1.0, h=0.7, lam=1.0, base="rl", n_inner=64).eval(1.0, 0.5) > 0.0
 
     def test_large_mild_rate_stays_finite(self):
         k = FractionalOU(T=1.0, h=0.7, lam=1000.0, convention="mild")
@@ -329,8 +376,8 @@ class TestCausality:
 SUPPORT_KINDS = [
     MolchanGolosov(h=0.3), MolchanGolosov(h=0.5), MolchanGolosov(h=0.8),
     RiemannLiouville(h=0.3), RiemannLiouville(h=0.5), RiemannLiouville(h=0.8),
-    *(FractionalOU(h=0.3, lam=1.3, base=b, convention=c, n_inner=16)
-      for b in ("mg", "rl") for c in ("mild", "forward")),
+    *(FractionalOU(h=0.3, lam=1.3, convention=c, n_inner=16) for c in ("mild", "forward")),
+    *(FractionalOU(h=0.3, lam=1.3, base="rl", convention=c) for c in ("mild", "forward")),
     Brownian(),
     ConstantVolatility(rho=lambda s: 1.0 + s),
     Tabulated(t_grid=np.array([0.0, 1.0]), s_grid=np.array([0.0, 1.0]),
