@@ -91,18 +91,11 @@ def _cmd_aw_discrete(args) -> int:
     return 0
 
 
-def _cmd_aw_unit(args) -> int:
-    spec1 = build_process_spec(args.spec1)
-    spec2 = build_process_spec(args.spec2)
-    rep = continuous_aw_unit(spec1, spec2, _grid_from_args(args))
-    _write(_report_text(rep, args.format, args.correlations), args.output)
-    return 0
-
-
-def _cmd_aw_multi(args) -> int:
-    spec1 = build_process_spec(args.spec1)
-    spec2 = build_process_spec(args.spec2)
-    rep = continuous_aw_multi(spec1, spec2, _grid_from_args(args))
+def _cmd_aw_specs(args) -> int:
+    # the module's names are read per call, so a wrapper the benchmark tracer installs applies
+    distance = continuous_aw_unit if args.command == "aw-unit" else continuous_aw_multi
+    rep = distance(build_process_spec(args.spec1), build_process_spec(args.spec2),
+                   _grid_from_args(args))
     _write(_report_text(rep, args.format, args.correlations), args.output)
     return 0
 
@@ -168,22 +161,22 @@ _READ_FLAGS = {
                          help="include the per-node correlation array in JSON output"),
     "format": dict(choices=("json", "csv"), default="json"),
     "grid": dict(type=_positive_int, default=256, help="quadrature resolution (default 256)"),
+    "threads": dict(type=_positive_int, help="worker-thread cap of simulate, which alone reads "
+                                             "it (default $AWGP_THREADS or 1)"),
 }
 
 
 def _add_common(p: argparse.ArgumentParser, *reads: str) -> None:
     """Add the flags every subcommand takes and the ``_READ_FLAGS`` named in ``reads``,
-    those its handler reads.  Only ``simulate`` reads ``--threads``; the others accept it
-    and ignore it."""
+    those its handler reads.  ``aw-unit`` and ``aw-discrete`` also take ``--threads``,
+    which they ignore, because the benchmark passes it to them."""
     p.add_argument("--output", help="output file (default stdout)")
     for name in reads:
         p.add_argument("--" + name, **_READ_FLAGS[name])
-    # a string default goes through ``type`` at parse time, so a bad
-    # $AWGP_THREADS is a usage error (exit 2) like a bad flag
-    p.add_argument("--threads", type=_positive_int,
-                   default=os.environ.get("AWGP_THREADS") or "1",
-                   help="worker-thread cap of simulate, which alone reads it "
-                        "(default $AWGP_THREADS or 1)")
+    if "threads" in reads:
+        # read per parser; a string default goes through ``type`` at parse time, so a bad
+        # $AWGP_THREADS is a usage error (exit 2) like a bad flag
+        p.set_defaults(threads=os.environ.get("AWGP_THREADS") or "1")
     p.add_argument("--config", help="JSON file supplying any of this command's flags")
 
 
@@ -207,20 +200,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aw-discrete", help="distance between discrete Gaussian laws")
     p.add_argument("--cov1", help="CSV covariance matrix")
     p.add_argument("--cov2", help="CSV covariance matrix")
-    _add_common(p, "correlations", "format")
+    _add_common(p, "correlations", "format", "threads")
     p.set_defaults(fn=_cmd_aw_discrete, required_fields=("cov1", "cov2"))
 
     p = sub.add_parser("aw-unit", help="distance between unit-multiplicity specs")
     p.add_argument("--spec1", help="process spec JSON file")
     p.add_argument("--spec2", help="process spec JSON file")
-    _add_common(p, "correlations", "format", "grid")
-    p.set_defaults(fn=_cmd_aw_unit, required_fields=("spec1", "spec2"))
+    _add_common(p, "correlations", "format", "grid", "threads")
+    p.set_defaults(fn=_cmd_aw_specs, required_fields=("spec1", "spec2"))
 
     p = sub.add_parser("aw-multi", help="distance between higher-multiplicity specs")
     p.add_argument("--spec1", help="process spec JSON file")
     p.add_argument("--spec2", help="process spec JSON file")
     _add_common(p, "correlations", "format", "grid")
-    p.set_defaults(fn=_cmd_aw_multi, required_fields=("spec1", "spec2"))
+    p.set_defaults(fn=_cmd_aw_specs, required_fields=("spec1", "spec2"))
 
     p = sub.add_parser("mart-approx", help="best martingale approximation to an fBM")
     p.add_argument("--h", type=float)
@@ -231,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo coupling costs for a scenario")
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--paths-csv", help="dump the first 10 coupled paths to CSV")
-    _add_common(p)
+    _add_common(p, "threads")
     p.set_defaults(fn=_cmd_simulate, required_fields=("scenario",))
 
     p = sub.add_parser("check-assumptions", help="evaluate the standing assumptions")

@@ -86,7 +86,7 @@ def build_process_spec(cfg: dict | str | Path) -> GaussianProcessSpec:
     return GaussianProcessSpec(components=comps, T=T)
 
 
-def build_controls(cfg_list, T: float, n_cells_default: int = 16) -> list[CouplingControl]:
+def build_controls(cfg_list, T: float) -> list[CouplingControl]:
     controls: list[CouplingControl] = []
     for cfg in cfg_list:
         if isinstance(cfg, str):
@@ -101,7 +101,7 @@ def build_controls(cfg_list, T: float, n_cells_default: int = 16) -> list[Coupli
         elif kind == "random_piecewise":
             seed = check_count(cfg.get("seed", 0), "random_piecewise seed", 0)
             gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 13))))
-            cells = check_count(cfg.get("cells", n_cells_default), "random_piecewise cells")
+            cells = check_count(cfg.get("cells", 16), "random_piecewise cells")
             for _ in range(check_count(cfg.get("count", 1), "random_piecewise count")):
                 controls.append(CouplingControl.piecewise_constant(
                     gen.uniform(-1.0, 1.0, size=cells), T))

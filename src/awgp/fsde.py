@@ -448,29 +448,27 @@ def estimate_coupling_cost(spec1: FsdeSpec, spec2: FsdeSpec, control: CouplingCo
 # Lamperti transform
 # ---------------------------------------------------------------------------
 
-def lamperti_transform(sigma: Callable, x0: float, x: float, quad_nodes: int = 64) -> float:
-    """State-space change g(x) = int_{x0}^x dxi / sigma(xi) by adaptive quadrature."""
+def lamperti_transform(sigma: Callable, x0: float, x: float) -> float:
+    """State-space change g(x) = int_{x0}^x dxi / sigma(xi) by adaptive quadrature (at most
+    64 subintervals), after checking sigma > 0 at 64 evenly spaced points."""
     from scipy.integrate import quad  # imported here: it adds about 0.2 s to `import awgp`
-    quad_nodes = check_count(quad_nodes, "quad_nodes", 8)
     lo, hi = min(x0, x), max(x0, x)
     if hi > lo:
-        probe = np.linspace(lo, hi, quad_nodes)
+        probe = np.linspace(lo, hi, 64)
         if np.any(np.asarray(sigma(probe)) <= 0.0):
             raise DomainError("diffusion must be positive on the integration range")
-    val, _ = quad(lambda u: 1.0 / float(np.asarray(sigma(u))), x0, x, limit=max(quad_nodes, 50))
+    val, _ = quad(lambda u: 1.0 / float(np.asarray(sigma(u))), x0, x, limit=64)
     return float(val)
 
 
-def lamperti_inverse(sigma: Callable, x0: float, y: float, quad_nodes: int = 64,
-                     tol: float = 1e-12) -> float:
-    """Inverse of the Lamperti map by monotone root finding.
+def lamperti_inverse(sigma: Callable, x0: float, y: float) -> float:
+    """Inverse of the Lamperti map by monotone root finding (to 1e-12 in x).
 
     g is strictly increasing (sigma > 0), so the root is bracketed by
     expanding around x0; the result satisfies |g(g^-1(y)) - y| <= 1e-10.
     """
     from scipy.optimize import brentq
-    quad_nodes = check_count(quad_nodes, "quad_nodes", 8)
-    g = lambda x: lamperti_transform(sigma, x0, x, quad_nodes)
+    g = lambda x: lamperti_transform(sigma, x0, x)
     if y == 0.0:
         return float(x0)
     sign, step = (1.0 if y > 0 else -1.0), 1.0
@@ -479,7 +477,7 @@ def lamperti_inverse(sigma: Callable, x0: float, y: float, quad_nodes: int = 64,
         if step > 1e12:
             raise DomainError("failed to bracket the Lamperti inverse")
     lo, hi = sorted((x0, x0 + sign * step))
-    return float(brentq(lambda x: g(x) - y, lo, hi, xtol=tol, rtol=8.9e-16))
+    return float(brentq(lambda x: g(x) - y, lo, hi, xtol=1e-12, rtol=8.9e-16))
 
 
 def lamperti_inverse_interpolator(sigma: Callable, x0: float,
@@ -568,9 +566,10 @@ class AssumptionReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def assumption_checker(spec: FsdeSpec, state_range: tuple[float, float] | None = None,
-                       n_state: int = 512, n_grid: int = 200) -> AssumptionReport:
-    """Evaluate the standing assumptions on sampled grids (report only).
+def assumption_checker(spec: FsdeSpec, state_range: tuple[float, float] | None = None
+                       ) -> AssumptionReport:
+    """Evaluate the standing assumptions on sampled grids (report only): 512 states and a
+    200 x 200 (t, s) grid.
 
     Checks diffusion positivity and boundedness, finite-difference bounds on
     b' and sigma', kernel nonnegativity and growth, kernel monotonicity in t,
@@ -580,7 +579,7 @@ def assumption_checker(spec: FsdeSpec, state_range: tuple[float, float] | None =
         s0 = max(abs(float(np.asarray(spec.diffusion(spec.x0)))), 1e-6)
         half = 5.0 * s0 * np.sqrt(spec.T)
         state_range = (spec.x0 - half, spec.x0 + half)
-    xs = np.linspace(state_range[0], state_range[1], n_state)
+    xs = np.linspace(state_range[0], state_range[1], 512)
     dx = xs[1] - xs[0]
     sig = np.asarray(spec.diffusion(xs), dtype=float)
     drift = np.asarray(spec.drift(xs), dtype=float)
@@ -601,8 +600,8 @@ def assumption_checker(spec: FsdeSpec, state_range: tuple[float, float] | None =
         "max_abs_derivative": deriv_max,
     }
 
-    t_grid = np.linspace(spec.T / n_grid, spec.T, n_grid)
-    s_grid = np.linspace(spec.T / n_grid, spec.T, n_grid) * (1.0 - 1e-9)
+    t_grid = np.linspace(spec.T / 200, spec.T, 200)
+    s_grid = t_grid * (1.0 - 1e-9)
     tt, ss = np.meshgrid(t_grid, s_grid, indexing="ij")
     kv = spec.noise_kernel.eval(tt.ravel(), ss.ravel()).reshape(tt.shape)
     k_min = float(kv.min())

@@ -383,20 +383,10 @@ class Tabulated(VolterraKernel):
 @dataclass(frozen=True)
 class CallableKernel(VolterraKernel):
     """Escape hatch wrapping an arbitrary vectorized k(t, s), called at points with
-    s <= t only; the kernel is 0 elsewhere."""
+    s <= t only; the kernel is 0 elsewhere.  Meshes grade it as a smooth kernel."""
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(default=lambda t, s: np.ones_like(t))
-    hurst_hint: float = 0.5
-    diag_expo: float = 0.0
     kind = "callable"
-
-    @property
-    def grading_hurst(self) -> float:
-        return self.hurst_hint
-
-    @property
-    def diag_exponent(self) -> float:
-        return self.diag_expo
 
     def eval(self, t, s):
         return _on_times(lambda t, s: np.array(np.broadcast_to(self.fn(t, s), t.shape), float),
@@ -594,17 +584,17 @@ class GaussianProcessSpec:
     def multiplicity(self) -> int:
         return len(self.components)
 
-    def validate_ordering(self, n_grid: int = 257, tol: float = 1e-12) -> None:
-        """Check mu^1 >> mu^2 >> ... by density support on a grid."""
+    def validate_ordering(self) -> None:
+        """Check mu^1 >> mu^2 >> ... by density support (above 1e-12) at 256 points of (0, T]."""
         if self.multiplicity == 1:
             return
         if any(m.is_singular for _, m in self.components):
             raise MeasureOrderingError("higher-multiplicity specs require absolutely continuous measures")
-        s = np.linspace(0.0, self.T, n_grid)[1:]
+        s = np.linspace(0.0, self.T, 257)[1:]
         prev = self.components[0][1].density_at(s)
         for _, meas in list(self.components)[1:]:
             cur = meas.density_at(s)
-            bad = (prev <= tol) & (cur > tol)
+            bad = (prev <= 1e-12) & (cur > 1e-12)
             if np.any(bad):
                 raise MeasureOrderingError(
                     f"measure ordering violated at s = {s[bad][0]:.6g}")

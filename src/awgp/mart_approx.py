@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_count, check_horizon
+from .errors import DomainError, check_horizon
 from .gauss_aw import (_W16, _X16, _clamped_at_zero, _graded_unit_nodes, _run_with_crosscheck,
                        _unit_rule_size)
 # eval_mg_kernel and graded_gauss go unused here: the benchmark tracer binds them by name
@@ -132,13 +132,12 @@ def _forward_rho(row: _UnitRow, y: np.ndarray, d: np.ndarray, n_end: int) -> np.
     return out
 
 
-def optimal_volatility(h: float, r, T: float, quad_nodes: int = 256):
+def optimal_volatility(h: float, r, T: float):
     """Forward-averaged kernel rho_H(r) = (T - r)^{-1} int_r^T k_H(s, r) ds, on the cumulative
-    rule of this module; ``quad_nodes`` is the node count of its end rule on
-    [max(r/T, 1/2), 1] (rounded to a multiple of 16, at least 32)."""
+    rule of this module with a 256-node end rule on [max(r/T, 1/2), 1]: a lone r needs that
+    many (32 are 3.5e-12 off at H = 0.05, r = 0.3)."""
     _check_hurst(h)
     h, T = float(h), check_horizon(T)
-    quad_nodes = check_count(quad_nodes, "quad_nodes")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all((r_arr > 0.0) & (r_arr < T)):  # NaN fails too
         raise DomainError("optimal_volatility requires finite 0 < r < T (singular at r = 0)")
@@ -146,7 +145,7 @@ def optimal_volatility(h: float, r, T: float, quad_nodes: int = 256):
         return np.empty(r_arr.shape)
     flat = r_arr.ravel()
     out = T ** (h - 0.5) * _forward_rho(_unit_row(MolchanGolosov(h=h)), flat / T,
-                                        (T - flat) / T, _unit_rule_size(quad_nodes))
+                                        (T - flat) / T, 256)
     return float(out[0]) if np.ndim(r) == 0 else out.reshape(r_arr.shape)
 
 

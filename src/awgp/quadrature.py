@@ -25,20 +25,20 @@ __all__ = ["QuadratureGrid", "graded_midpoint", "graded_gauss", "gauss_jacobi_po
            "grading_exponent", "linear_scan"]
 
 
-def grading_exponent(alpha: float, h_min: float = 0.5, cap: float = 40.0) -> float:
+def grading_exponent(alpha: float, h_min: float = 0.5) -> float:
     """Mesh grading for an integrand ~ x^(-alpha) at the clustered endpoint.
 
     The baseline 2 / (h_min + 1/2) resolves diagonal kinks of fractional
     kernels; when the endpoint power alpha is known, the exponent is raised
     so the transformed integrand stays smooth (alpha must be < 1 for the
-    integral to exist at all).
+    integral to exist at all), up to 40.
     """
     base = 2.0 / (h_min + 0.5)
     if alpha <= 0.0:
         return base
     if alpha >= 1.0:
         raise DomainError("endpoint exponent must be < 1 for integrability")
-    return min(max(base, 2.5 / (1.0 - alpha)), cap)
+    return min(max(base, 2.5 / (1.0 - alpha)), 40.0)
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,6 @@ def _crosscheck(**scheme):
 COUNTS = {
     "grid-n_s": ("grid n_s", 1, lambda v: QuadratureGrid(n_s=v)),
     "grid-n_t": ("grid n_t", 1, lambda v: QuadratureGrid(n_t=v)),
-    "optimal_volatility-quad_nodes": ("quad_nodes", 1,
-                                      lambda v: optimal_volatility(0.7, 0.5, 1.0, quad_nodes=v)),
     "discretized_fbm_aw-n_steps": ("n_steps", 1, lambda v: discretized_fbm_aw(0.5, 0.7, 1.0, v)),
     "triangular_integral-partition_count": (
         "partition_count", 1, lambda v: triangular_integral(fbm_spec(0.6), fbm_spec(0.7), v)),
@@ -82,10 +80,6 @@ COUNTS = {
     "quadrature_crosscheck-order": ("scheme order", 1, lambda v: _crosscheck(order=v)),
     "config-fou-n_inner": ("fOU node count", 8,
                            lambda v: build_kernel({"kind": "fou", "h": 0.7, "n_inner": v}, 1.0)),
-    "lamperti_transform-quad_nodes": (
-        "quad_nodes", 8, lambda v: lamperti_transform(np.cosh, 0.0, 1.0, quad_nodes=v)),
-    "lamperti_inverse-quad_nodes": (
-        "quad_nodes", 8, lambda v: lamperti_inverse(np.cosh, 0.0, 0.0, quad_nodes=v)),
     "lamperti_inverse_interpolator-n": (
         "n", 2, lambda v: lamperti_inverse_interpolator(np.cosh, 0.0, (-1.0, 1.0), n=v)),
     "cholesky_marginal_paths-n_paths": (

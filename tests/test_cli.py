@@ -123,7 +123,7 @@ class TestAwFbm:
     def test_threads_env_not_an_integer_exit_2(self, monkeypatch, capsys):
         monkeypatch.setenv("AWGP_THREADS", "abc")
         with pytest.raises(SystemExit) as exc:
-            main(["aw-fbm", "--h1", "0.5", "--h2", "0.5"])
+            main(["simulate", "--scenario", "scenario.json"])
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
@@ -131,7 +131,7 @@ class TestAwFbm:
     def test_threads_flag_not_positive_exit_2(self, value, monkeypatch, capsys):
         monkeypatch.delenv("AWGP_THREADS", raising=False)
         with pytest.raises(SystemExit) as exc:
-            main(["aw-fbm", "--h1", "0.5", "--h2", "0.5", f"--threads={value}"])
+            main(["simulate", "--scenario", "scenario.json", f"--threads={value}"])
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
@@ -244,7 +244,8 @@ class TestAwUnitMulti:
     ("simulate", "format", "csv"), ("simulate", "grid", 64), ("simulate", "correlations", True),
     ("check-assumptions", "format", "csv"), ("check-assumptions", "grid", 64),
     ("check-assumptions", "correlations", True), ("aw-discrete", "grid", 64),
-    ("mart-approx", "correlations", True),
+    ("mart-approx", "correlations", True), ("aw-fbm", "threads", 2), ("aw-multi", "threads", 2),
+    ("mart-approx", "threads", 2), ("check-assumptions", "threads", 2),
 ])
 def test_unread_common_flag_exit_2(command, flag, value, via_config, tmp_path, capsys):
     if via_config:

@@ -447,6 +447,55 @@ class TestEqualKernelsEvaluatedOnce:
         assert rep.distance_squared == 0.0
 
 
+def _full_grid_components(kernels, t_mat, s):
+    """Reference: every kernel on the whole (s, t) node grid, t-constant ones too."""
+    s_mat = np.broadcast_to(s[:, None], t_mat.shape)
+    return np.stack([k.eval(t_mat.ravel(), s_mat.ravel()).reshape(t_mat.shape) for k in kernels])
+
+
+_CV = ConstantVolatility(T=1.0, rho=lambda s: 1.0 + 0.5 * s)
+_HALF = IntensityMeasure.from_density(lambda s: 0.5 + 0 * s)
+_T_CONSTANT_PAIRS = {
+    "brownian-cv": lambda: (_unit(Brownian(T=1.0)), _unit(_CV)),
+    "cv-fou": lambda: (_unit(_CV, IntensityMeasure.from_density(lambda s: 0.5 + 2.0 * s * s)),
+                       fou_spec(0.6, 1.5)),
+    "cantor-bm": lambda: (cantor_martingale_spec(), _unit(Brownian(T=1.0))),
+    "cantor-cantor": lambda: (cantor_martingale_spec(), cantor_martingale_spec()),
+    "cantor-cv": lambda: (cantor_martingale_spec(), _unit(_CV, IntensityMeasure.cantor())),
+    "multi": lambda: tuple(GaussianProcessSpec(components=[(k1, IntensityMeasure.lebesgue()),
+                                                           (k2, _HALF)], T=1.0)
+                           for k1, k2 in ((MolchanGolosov(T=1.0, h=0.6), Brownian(T=1.0)),
+                                          (RiemannLiouville(T=1.0, h=0.7), _CV))),
+}
+
+
+class TestTConstantKernelsOncePerS:
+    """Brownian and ConstantVolatility kernels, k(t, s) = rho(s), are evaluated at (s, s) only."""
+
+    @pytest.mark.parametrize("pair", _T_CONSTANT_PAIRS.values(), ids=_T_CONSTANT_PAIRS.keys())
+    def test_bitwise_as_full_grid(self, pair, monkeypatch):
+        spec1, spec2 = pair()
+        grid = QuadratureGrid(n_s=32, n_t=48)
+        rep = core(spec1, spec2, grid)
+        monkeypatch.setattr(gauss_aw, "_eval_components", _full_grid_components)
+        ref = core(spec1, spec2, grid)
+        assert (rep.distance_squared, rep.trace_term, rep.cross_term) == (
+            ref.distance_squared, ref.trace_term, ref.cross_term)
+        assert (rep.optimal_correlation is None and ref.optimal_correlation is None
+                or np.array_equal(rep.optimal_correlation, ref.optimal_correlation))
+
+    @pytest.mark.parametrize("cls", [Brownian, ConstantVolatility])
+    def test_eval_takes_one_point_per_s(self, cls, monkeypatch):
+        sizes = []
+        evaluate = cls.eval
+        monkeypatch.setattr(cls, "eval",
+                            lambda k, t, s: sizes.append(np.size(t)) or evaluate(k, t, s))
+        for spec1, spec2 in (_T_CONSTANT_PAIRS["brownian-cv"](), _T_CONSTANT_PAIRS["cantor-cv"]()):
+            rep = core(spec1, spec2, QuadratureGrid(n_s=32, n_t=48))
+            assert sizes == [rep.grid_meta["n_s"]]
+            sizes.clear()
+
+
 class TestTransferPrinciple:
     def test_fbm_cov_matrix_is_spd(self):
         times = (np.arange(64) + 0.5) / 64
@@ -455,7 +504,7 @@ class TestTransferPrinciple:
 
     @pytest.mark.parametrize("h", [0.05, 0.3, 0.5, 0.75, 0.95])
     def test_fbm_cov_matrix_exactly_symmetric(self, h):
-        # the formula is symmetric in IEEE arithmetic: the symmetrising step returns it bitwise
+        # the formula is symmetric in IEEE arithmetic, so it is returned as it is
         rng = np.random.default_rng(7)
         for n in (2, 100, 1000):
             times = np.sort(rng.uniform(0.0, 3.0, n))

@@ -24,7 +24,7 @@ class TestOptimalVolatility:
         # whose forward average is the endpoint value divided by H + 1/2
         h, T = 0.7, 1.0
         r = T - 1e-4
-        avg = optimal_volatility(h, r, T, quad_nodes=512)
+        avg = optimal_volatility(h, r, T)
         assert avg * (h + 0.5) == pytest.approx(eval_mg_kernel(h, T, r), rel=1e-3)
 
     def test_domain_errors(self):
@@ -97,11 +97,6 @@ class TestMartApproxDistance:
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("nodes", [0, -4, 2.5, True])
-    def test_quad_nodes(self, nodes):
-        with pytest.raises(DomainError, match="quad_nodes"):
-            optimal_volatility(0.7, 0.5, 1.0, quad_nodes=nodes)
-
     @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
     def test_horizon(self, T):
         # checked up front: no RuntimeWarning (an error under this suite) comes first
@@ -120,13 +115,6 @@ class TestInputChecks:
     def test_non_finite_r(self):
         with pytest.raises(DomainError, match="finite"):
             optimal_volatility(0.7, np.array([0.5, np.nan]), 1.0)
-
-    def test_quad_nodes_is_the_end_rule(self):
-        # a lone r above 1/2 is all end rule: another node count is another rule, as exact
-        r, ref = 0.9, _mg_forward_mean(0.7, 0.9, 1.0)
-        small, large = (optimal_volatility(0.7, r, 1.0, quad_nodes=n) for n in (32, 512))
-        assert small != large
-        assert small == pytest.approx(ref, rel=1e-12) and large == pytest.approx(ref, rel=1e-12)
 
 
 class TestAgainstQuadpack:
