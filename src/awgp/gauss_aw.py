@@ -36,10 +36,11 @@ from scipy.linalg.lapack import dpotrf
 from .errors import (ConvergenceError, DomainError, NotPositiveDefiniteError, check_count,
                      check_horizon, shared_horizon)
 from .kernels import (Brownian, CallableKernel, ConstantVolatility, GaussianProcessSpec,
-                      IntensityMeasure, VolterraKernel, _check_hurst, _same_kernels, _unit_row,
-                      _UnitRow, covariance, fbm_spec)
+                      IntensityMeasure, MolchanGolosov, VolterraKernel, _check_hurst,
+                      _conv_profile, _same_kernels, _unit_row, _UnitRow, covariance, fbm_spec)
 # graded_gauss goes unused here: the benchmark tracer binds it by name
-from .quadrature import QuadratureGrid, graded_gauss, graded_midpoint, grading_exponent  # noqa: F401
+from .quadrature import (QuadratureGrid, graded_gauss, graded_midpoint,  # noqa: F401
+                         grading_exponent, linear_scan)
 
 __all__ = [
     "CovMatrix",
@@ -249,13 +250,19 @@ def _nodes(measure: IntensityMeasure, T: float, grid: QuadratureGrid, gamma_s: f
     Stieltjes sum over its own cells (:meth:`IntensityMeasure.cells`).
     """
     if measure.is_singular:
-        s, ws = measure.cells(grid.n_s)
-        if s[-1] >= T:
-            raise DomainError(f"measure '{measure.name}' charges times beyond the horizon {T}")
+        s, ws = _cells(measure, T, grid.n_s)
     else:
         s, ws = graded_midpoint(0.0, T, grid.n_s, gamma=gamma_s, cluster="left")
     t_mat, w_mat = _t_matrix(s, T, grid.n_t, gamma_t)
     return s, ws, t_mat, w_mat
+
+
+def _cells(measure: IntensityMeasure, T: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A singular measure's cells for a rule of ``n`` nodes, all inside [0, T)."""
+    s, ws = measure.cells(n)
+    if s[-1] >= T:
+        raise DomainError(f"measure '{measure.name}' charges times beyond the horizon {T}")
+    return s, ws
 
 
 def _densities(measures: Sequence[IntensityMeasure], s: np.ndarray) -> np.ndarray:
@@ -335,14 +342,29 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
                           grid_meta=meta)
 
 
+def _finite(rule, grid: QuadratureGrid):
+    """``rule(grid)``; a Python float that overflows, or a distance, trace or cross term that is
+    not finite, raises ConvergenceError, and numpy does not warn on the way."""
+    with np.errstate(all="ignore"):
+        try:
+            report = rule(grid)
+        except OverflowError:
+            report = None
+    if report is None or not all(map(math.isfinite, (report.distance_squared, report.trace_term,
+                                                     getattr(report, "cross_term", 0.0)))):
+        raise ConvergenceError("the distance overflows the float range or is not finite")
+    return report
+
+
 def _run_with_crosscheck(rule, grid: QuadratureGrid):
     """``rule(grid)``'s result (a report with ``distance_squared``, ``trace_term`` and
-    ``grid_meta``); with ``grid.crosscheck_rtol`` set, its distance is checked against the same
-    rule at half ``n_s`` and ``n_t`` (at least 4 each), a quarter of the cost."""
-    report = rule(grid)
+    ``grid_meta``), checked by :func:`_finite`; with ``grid.crosscheck_rtol`` set, its distance
+    is checked against the same rule at half ``n_s`` and ``n_t`` (at least 4 each), a quarter
+    of the cost."""
+    report = _finite(rule, grid)
     rtol = grid.crosscheck_rtol
     if rtol is not None:
-        alt = rule(QuadratureGrid(n_s=max(grid.n_s // 2, 4), n_t=max(grid.n_t // 2, 4)))
+        alt = _finite(rule, QuadratureGrid(n_s=max(grid.n_s // 2, 4), n_t=max(grid.n_t // 2, 4)))
         scale = max(abs(report.distance_squared), abs(report.trace_term), 1e-30)
         rel = abs(alt.distance_squared - report.distance_squared) / scale
         if rel > rtol:
@@ -369,13 +391,21 @@ def continuous_aw_multi(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     U V^H is the per-node optimal coupling factor C of the sum of squares
     ||V_more - C V_fewer||^2.  A unit pair gives :func:`continuous_aw_unit`'s report.
     Two single-component specs on the Lebesgue measure whose kernels are Molchan-Golosov,
-    Riemann-Liouville or Brownian take :func:`_self_similar`'s 1-D rule instead.
+    Riemann-Liouville or Brownian take :func:`_self_similar`'s 1-D rule instead; other unit
+    pairs whose t-integrals are 1-D take :func:`_cumulative`'s (see :func:`_cumulative_side`).
     """
     grid = grid or QuadratureGrid()
     row1, row2 = _lebesgue_row(spec1), _lebesgue_row(spec2)
-    if row1 is None or row2 is None:
-        return _run_with_crosscheck(lambda g: _distance_core(spec1, spec2, g), grid)
-    return _self_similar(row1, row2, shared_horizon(spec1.T, spec2.T, "process specs"), grid)
+    if row1 is not None and row2 is not None:
+        return _self_similar(row1, row2, shared_horizon(spec1.T, spec2.T, "process specs"), grid)
+    sides = _cumulative_side(spec1), _cumulative_side(spec2)
+    if None not in sides:
+        (_, f1), (_, f2) = sides
+        # an MG row only against a martingale
+        if f1 is None or f2 is None or not (isinstance(f1, _UnitRow) or isinstance(f2, _UnitRow)):
+            T = shared_horizon(spec1.T, spec2.T, "process specs")
+            return _run_with_crosscheck(lambda g: _cumulative(spec1, spec2, sides, T, g), grid)
+    return _run_with_crosscheck(lambda g: _distance_core(spec1, spec2, g), grid)
 
 
 def _lebesgue_row(spec: GaussianProcessSpec) -> _UnitRow | None:
@@ -386,8 +416,15 @@ def _lebesgue_row(spec: GaussianProcessSpec) -> _UnitRow | None:
     return _unit_row(kernel) if measure.is_lebesgue else None
 
 
-_X16, _W16 = np.polynomial.legendre.leggauss(16)
-_X16, _W16 = 0.5 * (_X16 + 1.0), 0.5 * _W16  # the 16-point Gauss-Legendre rule on [0, 1]
+def _unit_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+_X16, _W16 = _unit_gauss(16)
+_GAUSS6 = _unit_gauss(6)
+_END_NODES = 32  # end rule of the cumulative integrals, whose nodes reach within 1e-8 of the end
 
 
 def _unit_rule_size(n: int) -> int:
@@ -414,6 +451,97 @@ def _graded_unit_nodes(beta0: float, beta1: float, n: int
         wu.append(np.concatenate([(span * w).ravel(), edges[-1] * p * x ** (p - 1.0) * w]))
     return (np.concatenate([u[0], 1.0 - u[1]]), np.concatenate([1.0 - u[0], u[1]]),
             np.concatenate(wu))
+
+
+def _tail_integrals(row: _UnitRow, a: float, y: np.ndarray, d: np.ndarray, n_end: int,
+                    gauss: tuple[np.ndarray, np.ndarray] = (_X16, _W16)) -> np.ndarray:
+    """F(y) = y^a int_y^1 x^(-a-1) g(x) dx, g = ``row.at`` (rows stacked on leading axes allowed),
+    at nodes y in (0, 1) with offsets d = 1 - y: the cumulative 1-D rule.
+
+    The node values and 1/2 cut [min y, 1] into panels of ``gauss`` nodes (16 by default) in
+    log x below 1/2 and log(1 - x) above; a panel whose half-width passes its distance to that
+    coordinate's singular point 0 (x = 1, or x = 0) is cut evenly, which only sparse nodes near
+    1/2 need.  Below 1/2 the integrand is about e^(-mu v), v = log(x/x_j), mu = a + p0 (g ~ x^-p0):
+    a panel across which that falls past e^-30 (H near 1) takes Gauss nodes in e^(-mu v) instead,
+    where it is flat.  [max(y, 1/2), 1] takes the graded unit rule of ``n_end`` nodes with the end
+    power d^(h-1/2), h = ``row.h``, built on the offsets.  Each panel is scaled by its left end
+    x_j: F_j = Q_j + (x_j/x_(j+1))^a F_(j+1), summed by :func:`~awgp.quadrature.linear_scan` on
+    reversed views, so no partial sum overflows where the integral would (H near 1, y below
+    1e-150).
+    """
+    xg, wg = gauss
+    order = np.lexsort((-d, y))
+    bx, bd = y[order], d[order]
+    cut = np.searchsorted(bx, 0.5)
+    if bx[0] < 0.5:
+        bx, bd = np.insert(bx, cut, 0.5), np.insert(bd, cut, 0.5)
+    right = bx >= 0.5
+    coord = np.where(right, np.log(bd), np.log(bx))  # the two meet at 1/2
+    width = np.diff(coord)
+    k = np.ceil(np.abs(width) / (-2.0 * np.maximum(coord[:-1], coord[1:]))).astype(int)
+    k = np.maximum(k, 1)
+    pid = np.repeat(np.arange(k.size), k)
+    step = (width / k)[pid]
+    sub = np.arange(pid.size) - np.repeat(np.cumsum(k) - k, k)
+    mu = a + row.p0
+    off = step[:, None] * xg
+    steep = ~right[pid] & (mu * step > 30.0)
+    fall = -np.expm1(-mu * step[steep, None])
+    off[steep] = -np.log1p(-fall * xg) / mu
+    e = np.exp((coord[pid] + step * sub)[:, None] + off)
+    on_right = right[pid][:, None]
+    x, xd = np.where(on_right, 1.0 - e, e), np.where(on_right, e, 1.0 - e)
+    _, d_end, w_end = _graded_unit_nodes(0.0, row.h - 0.5, n_end)
+    xe, de = 1.0 - bd[-1] * d_end, bd[-1] * d_end
+    g = row.at(np.concatenate([x.ravel(), xe]), np.concatenate([xd.ravel(), de]))
+    # x^-(a+1) dx is x^-a du below 1/2 and x^-(a+1) (1 - x) dv above
+    panel = ((bx[pid, None] / x) ** a * g[..., :x.size].reshape(g.shape[:-1] + x.shape)
+             * np.where(on_right, xd / x, 1.0))
+    panel[..., steep, :] *= np.exp(mu * off[steep]) * fall / (mu * step[steep, None])
+    end = bx[-1] ** a * bd[-1] * ((xe ** -(a + 1.0) * g[..., x.size:]) @ w_end)
+    q = np.concatenate([np.add.reduceat(panel @ wg * np.abs(step), np.cumsum(k) - k, axis=-1),
+                        end[..., None]], axis=-1)
+    f = linear_scan(q[..., ::-1], np.append((bx[:-1] / bx[1:]) ** a, 0.0)[::-1])[..., ::-1]
+    if bx.size > y.size:
+        f = np.delete(f, cut, axis=-1)
+    out = np.empty_like(f)
+    out[..., order] = f
+    return out
+
+
+def _cumulative_side(spec: GaussianProcessSpec) -> tuple | None:
+    """(h, f) for a one-component spec whose kernel is k(t, s) = v(s) phi(t - s): f is None for
+    a martingale (Brownian or ConstantVolatility: phi = 1, h = 1/2), the profile phi of a
+    convolution kernel (:func:`~awgp.kernels._conv_profile`, v = 1), or the unit row of a
+    Molchan-Golosov kernel on the Lebesgue measure; None for any other spec."""
+    if spec.multiplicity != 1:
+        return None
+    kernel, measure = spec.components[0]
+    if type(kernel) in (Brownian, ConstantVolatility):
+        return 0.5, None
+    if type(kernel) is MolchanGolosov:
+        return (float(kernel.h), _unit_row(kernel)) if measure.is_lebesgue else None
+    phi = _conv_profile(kernel)
+    return None if phi is None else (float(kernel.h), phi)
+
+
+def _profile_integrals(pairs: list, beta: float, T: float, y: np.ndarray, d: np.ndarray
+                       ) -> np.ndarray:
+    """Phi_ij(T d) = T int_0^d phi_i(T w) phi_j(T w) dw at unit offsets d = 1 - y, one row per
+    pair of profiles (None for phi = 1), with phi_i phi_j ~ w^beta at w -> 0: T d itself for two
+    martingales, else one pass of :func:`_tail_integrals` in x = 1 - w with a = 0 (so g =
+    x phi_i phi_j) on 6-node panels, each profile evaluated once."""
+    phi = np.tile(T * d, (len(pairs), 1))
+    live = [pq != (None, None) for pq in pairs]
+    if any(live):
+        def at(x, xd):
+            vals = {p: np.ones(x.shape) if p is None else p(T * xd)
+                    for p in dict.fromkeys(sum(pairs, ()))}
+            return x * np.stack([vals[p] * vals[q] for (p, q), on in zip(pairs, live) if on])
+        # h = beta + 1/2 gives the end power w^beta, and g ~ x at x -> 0 (p0 = -1)
+        phi[live] = T * _tail_integrals(_UnitRow(beta + 0.5, -1.0, 0.0, at), 0.0, y, d,
+                                        _END_NODES, _GAUSS6)
+    return phi
 
 
 def _self_similar_cross(r1: _UnitRow, r2: _UnitRow, n: int) -> float:
@@ -445,12 +573,13 @@ def _self_similar(r1: _UnitRow, r2: _UnitRow, T: float, grid: QuadratureGrid) ->
     rule of half the nodes.  A difference within 4 eps of the trace term below 0 is rounding
     and reads 0; one further below raises ConvergenceError.
     """
-    a1, a2, f12 = (T ** (e + 1.0) / (e + 1.0) for e in (2.0 * r1.h, 2.0 * r2.h, r1.h + r2.h))
-    trace = a1 * r1.sq + a2 * r2.sq
     # (h, p0, sq) fix a row: equal triples are one kernel (MG, RL and Brownian meet at H = 1/2)
     same = r1[:3] == r2[:3]
 
     def report(g: QuadratureGrid) -> DistanceReport:
+        # an overflow of these powers raises in _run_with_crosscheck
+        a1, a2, f12 = (T ** (e + 1.0) / (e + 1.0) for e in (2.0 * r1.h, 2.0 * r2.h, r1.h + r2.h))
+        trace = a1 * r1.sq + a2 * r2.sq
         nodes = _unit_rule_size(g.n_s)
         cross = f12 * (r1.sq if same else _self_similar_cross(r1, r2, nodes))
         return DistanceReport(distance_squared=_clamped_at_zero(trace - 2.0 * cross, trace),
@@ -459,6 +588,82 @@ def _self_similar(r1: _UnitRow, r2: _UnitRow, T: float, grid: QuadratureGrid) ->
                               grid_meta={"n_s": nodes, "n_t": None, "scheme": "self_similar",
                                          "h1": r1.h, "h2": r2.h, "T": T})
     return _run_with_crosscheck(report, grid)
+
+
+def _cumulative(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec, sides: tuple, T: float,
+                grid: QuadratureGrid) -> DistanceReport:
+    """Distance between two kernels k(t, s) = v(s) phi(t - s) (``sides`` from
+    :func:`_cumulative_side`), whose t-integrals are 1-D: int_s^T ki kj dt = vi vj Phi_ij(T - s)
+    (:func:`_profile_integrals`), and against a Molchan-Golosov kernel on the Lebesgue measure
+    v F, F(s) = int_s^T k(t, s) dt = T^(H+1/2) y^(H+1/2) G(y), y = s/T (:func:`_tail_integrals`),
+    with the MG trace exact, T^(2H+1)/(2H+1).
+
+    The s-integral takes a singular measure's own cells, else the graded unit rule of
+    ``grid.n_s`` nodes (a multiple of 16, at least 32; end powers s^-2p0 and (T - s)^(2 min H))
+    on each piece between breakpoints: a sign change of the cross integrand is a kink, located
+    by two passes of linear interpolation on the pieces it cuts.  Mutually singular measures
+    take both node sets, each density 0 on the other's.  With a = v1 sqrt(rho1), b = v2
+    sqrt(rho2) and c = |Phi_12| each node adds c (|a| - |b|)^2 + (Phi_11 - c) a^2 +
+    (Phi_22 - c) b^2, a sum of squares for two martingales (every Phi_ij = T - s) and exactly 0
+    for equal specs; an MG pair gives trace - 2 cross.  A value within 4 eps of the trace
+    below 0 reads 0.
+    """
+    (k1, m1), (k2, m2) = spec1.components[0], spec2.components[0]
+    if m1.is_singular and m2.is_singular and m1.singular_tag != m2.singular_tag:
+        raise DomainError("cannot mix distinct singular measures")
+    (h1, f1), (h2, f2) = sides
+    row = next((f for _, f in sides if isinstance(f, _UnitRow)), None)
+    same = _same_kernels([k1], [k2])
+    beta = 2.0 * min(h1, h2) - 1.0  # phi_i phi_j ~ (T - s)^beta at s -> T
+
+    def nodes(measure, edges):  # unit nodes y = s/T, offsets d = 1 - y, weights, densities
+        if measure.is_singular:
+            s, w = _cells(measure, T, grid.n_s)
+            return s / T, (T - s) / T, w, np.ones(s.size)
+        y, d, w = (np.concatenate(parts) for parts in zip(*(
+            (lo + (hi - lo) * u, 1.0 - hi + (hi - lo) * du, T * (hi - lo) * wu)
+            for lo, hi in zip(edges[:-1], edges[1:])
+            for u, du, wu in [_graded_unit_nodes(-2.0 * row.p0 if row and lo == 0.0 else 0.0,
+                                                 beta + 1.0 if hi == 1.0 else 0.0,
+                                                 _unit_rule_size(grid.n_s))])))
+        return y, d, w, measure.density_at(T * y)
+
+    edges = [0.0, 1.0]
+    for rebuild in range(3):
+        y, d, w, rho1 = nodes(m1, edges)
+        if m1.is_singular == m2.is_singular:
+            rho2 = _densities([m2], T * y)[0]
+        else:
+            y2, d2, w2, rho2 = nodes(m2, edges)
+            y, d, w = np.concatenate([y, y2]), np.concatenate([d, d2]), np.concatenate([w, w2])
+            rho1, rho2 = np.append(rho1, 0.0 * rho2), np.append(0.0 * rho1, rho2)
+        v1 = k1.eval(T * y, T * y) if f1 is None else 1.0  # a martingale's volatility rho(s)
+        v2 = v1 if same else k2.eval(T * y, T * y) if f2 is None else 1.0
+        a, b = v1 * np.sqrt(rho1), v2 * np.sqrt(rho2)
+        if row is not None:  # F takes Phi_12's place; Phi_ii only serves the martingale
+            phi11 = phi22 = T * d
+            phi12 = T ** (row.h + 0.5) * _tail_integrals(row, row.h + 0.5, y, d, _END_NODES)
+        else:
+            phi = _profile_integrals([(f1, f1)] if same else [(f1, f1), (f2, f2), (f1, f2)],
+                                     beta, T, y, d)
+            phi11, phi22, phi12 = phi[[0, 0, 0]] if same else phi
+        order = np.argsort(y)
+        g, yo = (phi12 * a * b)[order], y[order]
+        k = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+        if m1.is_singular or not k.size or rebuild == 2:
+            break
+        edges = [0.0, *(yo[k] - g[k] * (yo[k + 1] - yo[k]) / (g[k + 1] - g[k])), 1.0]
+    c = np.abs(phi12)
+    cross = float(w @ (c * np.abs(a * b)))
+    trace = sum(T ** (2.0 * h + 1.0) / (2.0 * h + 1.0) if isinstance(f, _UnitRow)
+                else float(w @ (phi_ii * v * v))
+                for (h, f), phi_ii, v in zip(sides, (phi11, phi22), (a, b)))
+    dist = trace - 2.0 * cross if row is not None else float(
+        w @ (c * (np.abs(a) - np.abs(b)) ** 2 + (phi11 - c) * a * a + (phi22 - c) * b * b))
+    return DistanceReport(distance_squared=_clamped_at_zero(dist, trace), trace_term=trace,
+                          cross_term=cross,
+                          optimal_correlation=np.where(phi12 * a * b >= 0.0, 1.0, -1.0),
+                          grid_meta={"n_s": y.size, "n_t": None, "scheme": "cumulative"})
 
 
 def continuous_aw_fbm(h1: float, h2: float, T: float = 1.0,

@@ -429,6 +429,14 @@ def _unit_row(kernel: VolterraKernel) -> _UnitRow | None:
     return None
 
 
+def _conv_profile(kernel: VolterraKernel) -> Callable[[np.ndarray], np.ndarray] | None:
+    """phi with k(t, s) = phi(t - s), on flat offsets, of a Riemann-Liouville or RL-base fOU
+    kernel (its value at s = 0); None for any other."""
+    if type(kernel) is RiemannLiouville or type(kernel) is FractionalOU and kernel.base == "rl":
+        return lambda d: kernel.eval(d, np.zeros(d.shape))
+    return None
+
+
 def load_tabulated_csv(path, T: float | None = None) -> Tabulated:
     """Load a tabulated kernel from CSV with header ``t,s,value``.
 
@@ -548,7 +556,7 @@ class IntensityMeasure:
         if self.is_singular:
             raise DomainError(f"measure '{self.name}' has no density")
         rho = np.asarray(self.density(np.asarray(s, dtype=float)), dtype=float)
-        if np.any(rho < 0.0):
+        if not np.all(rho >= 0.0):  # NaN fails too
             raise DomainError("intensity density must be nonnegative")
         return rho
 

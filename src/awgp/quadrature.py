@@ -121,11 +121,12 @@ def gauss_jacobi_power(a: float, b: float, n: int, beta: float) -> tuple[np.ndar
 def linear_scan(q: np.ndarray, c: np.ndarray) -> np.ndarray:
     """f with f_j = q_j + c_j f_(j-1), f_(-1) = 0 (a link c_j = 0 starts a chain at j), by
     recursive doubling (Blelloch, "Prefix sums and their applications", 1990): ceil(log2 n)
-    vectorised passes.  A reverse recurrence is this scan of reversed views."""
+    vectorised passes.  A reverse recurrence is this scan of reversed views.  Stacked
+    recurrences, q of shape (..., n), share the links c along the last axis."""
     f, c = q.copy(), c.copy()
     step = 1
-    while step < f.size:
-        f[step:] += c[step:] * f[:-step]
+    while step < c.size:
+        f[..., step:] += c[step:] * f[..., :-step]
         c[step:] *= c[:-step]
         step *= 2
     return f

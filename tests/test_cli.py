@@ -114,6 +114,11 @@ class TestAwFbm:
         assert code == 2
         assert "--h2" in err
 
+    def test_overflowing_horizon_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "aw-fbm", "--h1", "0.3", "--h2", "0.7", "--T", "1e300")
+        assert code == 3 and out == ""
+        assert "overflows" in err and "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_domain_validation_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "aw-fbm", "--h1", "1.5", "--h2", "0.5")
         assert code == 2

@@ -13,13 +13,15 @@ from awgp.gauss_aw import (CovMatrix, DistanceReport, _densities, _distance_core
                            continuous_aw_multi, continuous_aw_unit, discrete_aw,
                            discretized_fbm_aw, fbm_cov_matrix, levy_noncanonical_check,
                            trace_bound_optimal_gamma, triangular_integral)
-from awgp.kernels import (Brownian, CallableKernel, ConstantVolatility, GaussianProcessSpec,
-                          IntensityMeasure, MolchanGolosov, RiemannLiouville,
-                          cantor_martingale_spec, eval_mg_kernel, fbm_spec, fou_spec)
+from awgp.kernels import (Brownian, CallableKernel, ConstantVolatility, FractionalOU,
+                          GaussianProcessSpec, IntensityMeasure, MolchanGolosov, RiemannLiouville,
+                          Tabulated, cantor_martingale_spec, eval_mg_kernel, fbm_spec, fou_spec)
+from awgp.mart_approx import mart_approx_distance, optimal_volatility
 from awgp.oracles import bruteforce_discrete_cross_term, get_golden, psd_feasibility_sampler
 from awgp.quadrature import QuadratureGrid, graded_midpoint
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 B = gauss_aw._SCHUR_BLOCK
 
@@ -367,13 +369,10 @@ class TestSelfSimilarRoute:
         lambda: _unit(MolchanGolosov(T=1.0, h=0.3), IntensityMeasure(density=np.ones_like)),
         lambda: _unit(MolchanGolosov(T=1.0, h=0.3), IntensityMeasure.from_density(np.ones_like)),
         lambda: fou_spec(0.3, 1.0),
-        lambda: _unit(ConstantVolatility(T=1.0)),
         lambda: GaussianProcessSpec(components=[(Brownian(T=1.0), IntensityMeasure.lebesgue()),
                                                 (Brownian(T=1.0), IntensityMeasure.lebesgue())],
                                     T=1.0),
-        lambda: cantor_martingale_spec(),
-    ], ids=["named-lebesgue-own-density", "from-density", "fou", "cv", "two-components",
-            "cantor"])
+    ], ids=["named-lebesgue-own-density", "from-density", "fou", "two-components"])
     def test_other_specs_keep_the_core(self, spec):
         s = spec()
         grid = QuadratureGrid(n_s=32, n_t=32)
@@ -421,6 +420,183 @@ class TestSelfSimilarRoute:
         monkeypatch.setattr(gauss_aw, "_self_similar_cross", lambda r1, r2, n: 1.01)
         with pytest.raises(ConvergenceError, match="below 0"):
             continuous_aw_unit(fbm_spec(0.5), fbm_spec(0.6))
+
+
+def _cv(rho):
+    return ConstantVolatility(T=1.0, rho=rho)
+
+
+def _rl_fou(h, lam, convention):
+    return _unit(FractionalOU(T=1.0, h=h, lam=lam, base="rl", convention=convention))
+
+
+_POLY = IntensityMeasure.from_density(lambda s: 0.5 + 2.0 * s * s)
+_ROUTED = {  # one pair of each class the entry points send to the cumulative rule
+    "cv": lambda: (_unit(ConstantVolatility(T=1.0)), fbm_spec(0.6)),
+    "cantor": lambda: (cantor_martingale_spec(), fbm_spec(0.6)),
+    "cv-weighted-bm": lambda: (_unit(_cv(lambda s: 1.0 + 0.5 * s), _POLY), _unit(Brownian(T=1.0))),
+    "cantor-cantor": lambda: (cantor_martingale_spec(), cantor_martingale_spec()),
+    "bm-cantor": lambda: (_unit(Brownian(T=1.0)), cantor_martingale_spec()),
+    "cv-rl": lambda: (_unit(_cv(lambda s: 2.0 - s)), _unit(RiemannLiouville(T=1.0, h=0.3))),
+    "rl-weighted-rl": lambda: (_unit(RiemannLiouville(T=1.0, h=0.3), _POLY),
+                               _unit(RiemannLiouville(T=1.0, h=0.8))),
+    "fou-rl-pair": lambda: (_rl_fou(0.3, 1.0, "mild"), _rl_fou(0.3, 1.0, "forward")),
+    "mg-weighted-cv": lambda: (fbm_spec(0.3), _unit(_cv(lambda s: 1.0 + s), _POLY)),
+}
+_CORE = {  # and of each class that keeps the 2-D core
+    "tabulated": lambda: (_unit(Tabulated(T=1.0, t_grid=np.linspace(0.0, 1.0, 5),
+                                          s_grid=np.linspace(0.0, 1.0, 5),
+                                          values=np.tril(np.ones((5, 5))))),
+                          _unit(Brownian(T=1.0))),
+    "callable": lambda: (_unit(CallableKernel(T=1.0, fn=lambda t, s: 1.0 + s * t)),
+                         _unit(_cv(lambda s: 1.0 + s))),
+    "mg-fou": lambda: (fou_spec(0.6, 1.0), _unit(Brownian(T=1.0))),
+    "mg-rl-fou": lambda: (fbm_spec(0.6), _rl_fou(0.6, 1.0, "mild")),
+    "mg-weighted-rl": lambda: (_unit(MolchanGolosov(T=1.0, h=0.6), _POLY),
+                               _unit(RiemannLiouville(T=1.0, h=0.7))),
+    "two-components": lambda: (GaussianProcessSpec(
+        components=[(Brownian(T=1.0), IntensityMeasure.lebesgue()),
+                    (_cv(lambda s: 1.0 + s), _POLY)], T=1.0), _unit(Brownian(T=1.0))),
+}
+
+
+def _cv_closed_form(rho1, rho2, dens1=lambda s: 1.0, dens2=lambda s: 1.0, points=None):
+    """int_0^1 (1 - s) (|rho1| sqrt(mu1') - |rho2| sqrt(mu2'))^2 ds by QUADPACK."""
+    return quad(lambda s: (1.0 - s) * (abs(rho1(s)) * np.sqrt(dens1(s))
+                                       - abs(rho2(s)) * np.sqrt(dens2(s))) ** 2,
+                0.0, 1.0, epsabs=1e-14, epsrel=1e-13, points=points, limit=200)[0]
+
+
+class TestCumulativeRoute:
+    @pytest.mark.parametrize("pair", _ROUTED.values(), ids=_ROUTED.keys())
+    def test_chosen_for_one_dimensional_pairs(self, pair):
+        spec1, spec2 = pair()
+        for aw in (continuous_aw_unit, continuous_aw_multi):
+            rep = aw(spec1, spec2, QuadratureGrid(n_s=64, n_t=8))
+            assert rep.grid_meta["scheme"] == "cumulative" and rep.grid_meta["n_t"] is None
+            assert type(rep.grid_meta["n_s"]) is int and rep.distance_squared >= 0.0
+
+    @pytest.mark.parametrize("pair", _CORE.values(), ids=_CORE.keys())
+    def test_other_pairs_keep_the_core(self, pair):
+        spec1, spec2 = pair()
+        grid = QuadratureGrid(n_s=32, n_t=32)
+        rep = continuous_aw_multi(spec1, spec2, grid)
+        assert rep.grid_meta["scheme"] == "midpoint"
+        assert rep.distance_squared == core(spec1, spec2, grid).distance_squared
+
+    @pytest.mark.parametrize("pair", _ROUTED.values(), ids=_ROUTED.keys())
+    def test_equal_specs_are_exactly_zero(self, pair):
+        for spec in pair():
+            rep = continuous_aw_unit(spec, spec)
+            assert rep.distance_squared == 0.0 and np.all(rep.optimal_correlation == 1.0)
+
+    @pytest.mark.parametrize("a,b", [(0.2, -0.15), (0.4, 0.1), (0.6, 0.25)])
+    def test_brownian_against_cv(self, a, b):
+        rho = lambda s: a + b * s  # noqa: E731
+        rep = continuous_aw_unit(_unit(Brownian(T=1.0)), _unit(_cv(rho)))
+        expect = _cv_closed_form(lambda s: 1.0, rho)
+        assert rep.distance_squared == pytest.approx(expect, rel=1e-10)
+
+    def test_weighted_cv_pair(self):
+        # the benchmark's file pair: a weighted measure against a sign-changing volatility
+        rho1, rho2 = (lambda s: 1.3 + 0.2 * s), (lambda s: 0.5 - 0.9 * s)
+        dens = lambda s: 1.2 + 0.3 * s  # noqa: E731
+        rep = continuous_aw_unit(_unit(_cv(rho1), IntensityMeasure.from_density(dens)),
+                                 _unit(_cv(rho2)))
+        expect = _cv_closed_form(rho1, rho2, dens1=dens, points=[5.0 / 9.0])
+        assert rep.distance_squared == pytest.approx(expect, rel=1e-10)
+
+    def test_cantor_pairs_are_exact(self):
+        bm = _unit(Brownian(T=1.0))
+        for spec1, spec2 in ((bm, cantor_martingale_spec()), (cantor_martingale_spec(), bm)):
+            rep = continuous_aw_unit(spec1, spec2)
+            assert rep.cross_term == 0.0 and rep.optimal_correlation is not None
+            assert rep.distance_squared == pytest.approx(1.0, abs=1e-12)
+        assert continuous_aw_unit(cantor_martingale_spec(),
+                                  cantor_martingale_spec()).distance_squared == 0.0
+
+    # mild against forward, RL base, T = 1: int_0^1 (1 - u) (phi1^2 + phi2^2 - 2 phi1 phi2) du
+    # with phi = u^(H-1/2) 1F1(1; H+1/2; a u) / Gamma(H+1/2), by mpmath at 30 digits after
+    # u = v^(1/2H); at (0.15, 4) Phi_12 changes sign at x = 0.8539472946693476, where the
+    # reference splits |Phi_12|
+    @pytest.mark.parametrize("h,lam,expect,cross", [
+        (0.3, 1.0, 0.569568982328161, 0.7546188012913826),
+        (0.7, 2.0, 1.447688648759417, 0.3745322989588185),
+        (0.15, 1.0, 0.7585106031525723, 1.302133936115266),
+        (0.15, 4.0, 123.5854068315469, 0.7634115033991887),
+    ])
+    def test_rl_fou_mild_against_forward(self, h, lam, expect, cross):
+        rep = continuous_aw_unit(_rl_fou(h, lam, "mild"), _rl_fou(h, lam, "forward"))
+        assert rep.distance_squared == pytest.approx(expect, rel=1e-10)
+        assert rep.cross_term == pytest.approx(cross, rel=1e-10)
+
+    def test_sign_change_is_a_breakpoint(self):
+        # |Phi_12| has a kink at the sign change: the rule splits there, so its pieces carry
+        # more nodes than one rule and the node signs switch once
+        rep = continuous_aw_unit(_rl_fou(0.15, 4.0, "mild"), _rl_fou(0.15, 4.0, "forward"),
+                                 QuadratureGrid(n_s=64))
+        assert rep.grid_meta["n_s"] == 128
+        assert set(rep.optimal_correlation) == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("h", [0.1, 0.3, 0.7, 0.9])
+    def test_best_martingale_is_a_special_case(self, h):
+        martingale = _unit(_cv(lambda r: optimal_volatility(h, r, 1.0)))
+        rep = continuous_aw_unit(fbm_spec(h), martingale)
+        assert rep.grid_meta["scheme"] == "cumulative"
+        assert rep.distance_squared == pytest.approx(mart_approx_distance(h).distance_squared,
+                                                     rel=1e-10)
+
+    @pytest.mark.parametrize("h", [0.05, 0.3, 0.7, 0.95])
+    def test_weighted_lebesgue_matches_the_self_similar_rule(self, h):
+        # Lebesgue given as a density keeps the pair off the self-similar rule
+        one = IntensityMeasure.from_density(np.ones_like)
+        for kernel in (MolchanGolosov(T=2.0, h=h), RiemannLiouville(T=2.0, h=h)):
+            rep = continuous_aw_unit(_unit(kernel, T=2.0), _unit(Brownian(T=2.0), one, T=2.0))
+            ref = continuous_aw_unit(_unit(kernel, T=2.0), _unit(Brownian(T=2.0), T=2.0))
+            assert rep.grid_meta["scheme"] == "cumulative"
+            assert rep.distance_squared == pytest.approx(ref.distance_squared, rel=1e-10)
+
+    def test_crosscheck_halves_the_nodes(self):
+        rep = continuous_aw_unit(_rl_fou(0.3, 1.0, "mild"), _rl_fou(0.3, 1.0, "forward"),
+                                 QuadratureGrid(crosscheck_rtol=1e-12))
+        assert rep.grid_meta["crosscheck_rel"] <= 1e-12
+
+    def test_equal_kernels_evaluated_once(self, monkeypatch):
+        calls = []
+        evaluate = ConstantVolatility.eval
+        monkeypatch.setattr(ConstantVolatility, "eval",
+                            lambda k, t, s: calls.append(k) or evaluate(k, t, s))
+        kernel = _cv(lambda s: 1.0 + s)
+        rep = continuous_aw_unit(_unit(kernel, _POLY), _unit(kernel))
+        assert len(calls) == 1 and rep.distance_squared > 0.0
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("pair", [
+        lambda m: (_unit(Brownian(T=1.0), m), _unit(_cv(lambda s: 1.0 + s))),
+        lambda m: (_unit(Brownian(T=1.0), m), _unit(CallableKernel(T=1.0))),
+    ], ids=["cumulative", "core"])
+    def test_nan_density_is_rejected(self, pair):
+        nan_tail = IntensityMeasure.from_density(lambda s: np.where(s > 0.5, np.nan, 1.0))
+        with pytest.raises(DomainError, match="nonnegative"):
+            continuous_aw_unit(*pair(nan_tail))
+
+    def test_infinite_volatility_raises(self):
+        with pytest.raises(ConvergenceError, match="not finite"):
+            continuous_aw_unit(_unit(_cv(lambda s: np.full_like(s, np.inf))),
+                               _unit(Brownian(T=1.0)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_horizon_raises(self):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            continuous_aw_fbm(0.3, 0.7, 1e300)
+        with pytest.raises(ConvergenceError, match="overflows"):
+            mart_approx_distance(0.7, 1e300)
+
+    def test_tiny_horizon_reads_zero(self):
+        # T^1.6 / 1.6 at T = 1e-300 is about 1e-480, which rounds to 0.0
+        rep = continuous_aw_fbm(0.3, 0.7, 1e-300)
+        assert rep.distance_squared == rep.trace_term == 0.0
 
 
 class TestEqualKernelsEvaluatedOnce:
@@ -763,17 +939,17 @@ def _unit(kernel, measure=None, T=1.0):
 
 
 class TestContinuousMulti:
-    # homogeneous pairs (fbm, mg-rl) take the self-similar rule from the entry points,
-    # so the 2-D core is checked on them directly
+    # homogeneous pairs (fbm, mg-rl) take the self-similar rule from the entry points, and
+    # martingale pairs (cv-poly-brownian, cantor-cantor) the cumulative one, so the 2-D core is
+    # checked on them directly
     @pytest.mark.parametrize("pair,entries", [
         (lambda: (fbm_spec(0.3), fbm_spec(0.8)), (core,)),
         (lambda: (fbm_spec(0.7), _unit(RiemannLiouville(T=1.0, h=0.4))), (core,)),
         (lambda: (fbm_spec(0.6), fou_spec(0.6, 1.5)), (continuous_aw_unit, continuous_aw_multi)),
         (lambda: (_unit(ConstantVolatility(T=1.0, rho=lambda s: 1.0 + 0.5 * s),
                         IntensityMeasure.from_density(lambda s: 0.5 + 2.0 * s * s)),
-                  _unit(Brownian(T=1.0))), (continuous_aw_unit, continuous_aw_multi)),
-        (lambda: (cantor_martingale_spec(), cantor_martingale_spec()),
-         (continuous_aw_unit, continuous_aw_multi)),
+                  _unit(Brownian(T=1.0))), (core,)),
+        (lambda: (cantor_martingale_spec(), cantor_martingale_spec()), (core,)),
     ], ids=["fbm", "mg-rl", "fbm-fou", "cv-poly-brownian", "cantor-cantor"])
     def test_unit_bitwise_as_before_shared_reduction(self, pair, entries):
         spec1, spec2 = pair()

@@ -133,6 +133,56 @@ def test_triangle_inequality(x, y, z):
     assert lo_xz <= hi_xy + hi_yz
 
 
+# martingales and convolution kernels on Lebesgue, weighted and Cantor measures: pairs the
+# entry points send to the cumulative 1-D rule (or, homogeneous on Lebesgue, to the
+# self-similar one), both accurate to about 1e-10 of the trace term at the default grid
+ROUTED_ACCURACY = 1e-9
+
+routed_kernels = st.one_of(
+    st.just(Brownian()),
+    st.builds(lambda a, b: ConstantVolatility(rho=_affine(a, b)),
+              st.floats(-1.0, 1.5), st.floats(-2.0, 2.0)),
+    st.builds(RiemannLiouville, h=hurst),
+    st.builds(lambda h, lam, convention: FractionalOU(h=h, lam=lam, base="rl",
+                                                      convention=convention),
+              hurst, st.floats(0.2, 2.0), st.sampled_from(["mild", "forward"])),
+)
+routed_measures = st.one_of(
+    st.just(IntensityMeasure.lebesgue()), st.just(IntensityMeasure.cantor()),
+    st.builds(lambda a, b: IntensityMeasure.from_density(_affine(a, b)),
+              st.floats(0.2, 2.0), st.floats(0.0, 2.0)))
+routed = st.builds(lambda k, m: GaussianProcessSpec(components=[(k, m)], T=1.0),
+                   routed_kernels, routed_measures)
+
+
+@_SETTINGS
+@given(routed)
+def test_routed_self_distance_zero(x):
+    assert continuous_aw_unit(x, x).distance_squared == 0.0
+
+
+@_SETTINGS
+@given(routed, routed)
+def test_routed_symmetric(x, y):
+    a, b = continuous_aw_unit(x, y), continuous_aw_unit(y, x)
+    assert a.distance_squared >= 0.0
+    assert abs(a.distance_squared - b.distance_squared) <= 1e-12 * a.trace_term
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(routed, routed, routed)
+def test_routed_triangle_inequality(x, y, z):
+    def bounds(p, q):
+        rep = continuous_aw_unit(p, q)
+        err = ROUTED_ACCURACY * rep.trace_term
+        return np.sqrt(max(rep.distance_squared - err, 0.0)), np.sqrt(rep.distance_squared + err)
+
+    lo_xz, _ = bounds(x, z)
+    _, hi_xy = bounds(x, y)
+    _, hi_yz = bounds(y, z)
+    assert lo_xz <= hi_xy + hi_yz
+
+
 # the discrete formula on N midpoint samples approaches the continuous fBM
 # distance as N doubles; its gap may stop shrinking once it is within the
 # 0.1% of the value the benchmark allows
