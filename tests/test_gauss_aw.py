@@ -498,7 +498,7 @@ class TestCumulativeRoute:
         assert rep.distance_squared == pytest.approx(expect, rel=1e-10)
 
     def test_weighted_cv_pair(self):
-        # the benchmark's file pair: a weighted measure against a sign-changing volatility
+        # a weighted measure against a volatility whose sign changes at s = 5/9, a breakpoint
         rho1, rho2 = (lambda s: 1.3 + 0.2 * s), (lambda s: 0.5 - 0.9 * s)
         dens = lambda s: 1.2 + 0.3 * s  # noqa: E731
         rep = continuous_aw_unit(_unit(_cv(rho1), IntensityMeasure.from_density(dens)),
