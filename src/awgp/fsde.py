@@ -420,8 +420,9 @@ def estimate_coupling_cost(spec1: FsdeSpec, spec2: FsdeSpec, control: CouplingCo
     cp = _coupling(spec1.noise_kernel, spec2.noise_kernel, control, T, n_steps, None, None)
     dt = T / n_steps
     n_blocks = -(-n_paths // _BLOCK)
+    costs = np.empty(n_paths)
 
-    def block_costs(b: int) -> np.ndarray:
+    def block_costs(b: int) -> None:
         noise = list(_noise_block(cp, seed, b, n_paths))  # popped: freed once Euler read it
         x1, x2 = (_euler(spec, dt, noise.pop(0), b * _BLOCK) for spec in (spec1, spec2))
         for x, state_map in ((x1, state_map1), (x2, state_map2)):
@@ -430,15 +431,13 @@ def estimate_coupling_cost(spec1: FsdeSpec, spec2: FsdeSpec, control: CouplingCo
                     x[lo:lo + _MAP_ROWS] = state_map(x[lo:lo + _MAP_ROWS])
         x1 -= x2
         del x, x2
-        diff = x1[:-1]
-        diff *= diff
-        # sums in the order of path-major rows, transposed a slab of paths at a time: a
-        # block-sized copy would leave the worker's heap a hole no later block array fits
-        return np.concatenate([np.ascontiguousarray(diff[:, lo:lo + 256].T).sum(axis=1)
-                               for lo in range(0, diff.shape[1], 256)]) * dt
+        diff = np.square(x1[:-1], out=x1[:-1])
+        # into the caller's array: a result allocated here keeps the worker's heap from shrinking
+        np.sum(diff, axis=0, out=costs[b * _BLOCK:(b + 1) * _BLOCK])
 
     with _blas_capped(min(n_workers, n_blocks) > 1), ThreadPoolExecutor(n_workers) as pool:
-        costs = np.concatenate(list(pool.map(block_costs, range(n_blocks))))
+        list(pool.map(block_costs, range(n_blocks)))  # a worker's error raises here
+    costs *= dt
     mean = float(np.mean(costs))
     se = float(np.std(costs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("inf")
     return CostEstimate(mean=mean, std_error=se, n_paths=n_paths, control=control.describe())

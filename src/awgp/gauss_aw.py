@@ -118,6 +118,8 @@ class DistanceReport:
     ``optimal_correlation`` is a per-step/per-node sign array in the unit
     multiplicity and discrete cases, or a stack of per-node coupling factor
     matrices U V^H, shape (n_s, m, n), in the higher-multiplicity case.
+    ``nodes`` holds the time of each of its entries; None in :func:`discrete_aw`,
+    whose steps carry no times, and where no coupling is given.
     ``distance_squared`` is never negative: it is a sum of squares, or, from the
     self-similar rule, trace - 2 cross with a miss of 0 by rounding read as 0.
     """
@@ -127,6 +129,7 @@ class DistanceReport:
     cross_term: float
     optimal_correlation: np.ndarray | None = None
     grid_meta: dict = field(default_factory=dict)
+    nodes: np.ndarray | None = None
 
     def to_dict(self, include_correlation: bool = True) -> dict:
         d = {
@@ -135,8 +138,10 @@ class DistanceReport:
             "cross_term": self.cross_term,
             "grid_meta": self.grid_meta,
         }
-        if include_correlation and self.optimal_correlation is not None:
-            d["optimal_correlation"] = np.asarray(self.optimal_correlation).tolist()
+        if include_correlation:
+            for key in ("optimal_correlation", "nodes"):
+                if getattr(self, key) is not None:
+                    d[key] = np.asarray(getattr(self, key)).tolist()
         return d
 
     def to_json(self, include_correlation: bool = True) -> str:
@@ -144,13 +149,14 @@ class DistanceReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DistanceReport":
-        corr = d.get("optimal_correlation")
+        corr, nodes = (d.get(key) for key in ("optimal_correlation", "nodes"))
         return cls(
             distance_squared=float(d["distance_squared"]),
             trace_term=float(d["trace_term"]),
             cross_term=float(d["cross_term"]),
             optimal_correlation=None if corr is None else np.asarray(corr, dtype=float),
             grid_meta=dict(d.get("grid_meta", {})),
+            nodes=None if nodes is None else np.asarray(nodes, dtype=float),
         )
 
     @classmethod
@@ -295,8 +301,6 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     singular1, singular2 = measures1[0].is_singular, measures2[0].is_singular
     if (singular1 or singular2) and (m > 1 or n > 1):
         raise DomainError("singular measures are supported at unit multiplicity only")
-    if singular1 and singular2 and measures1[0].singular_tag != measures2[0].singular_tag:
-        raise DomainError("cannot mix distinct singular measures")
 
     gamma_s, gamma_t = _pair_gammas(kernels1, kernels2)
     meta = grid.meta()
@@ -313,7 +317,7 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
         return DistanceReport(distance_squared=trace, trace_term=trace, cross_term=0.0,
                               grid_meta=meta)
 
-    # shared nodes; for a same-tag singular pair the geometric mean is the measure itself
+    # shared nodes; for a singular pair (both Cantor) the geometric mean is the measure itself
     s, ws, t_mat, w_mat = _nodes(measures1[0], T, grid, gamma_s, gamma_t)
     meta["n_s"] = s.size  # a singular measure's own cells, not the requested n_s
     v1 = _eval_components(kernels1, t_mat, s)
@@ -339,7 +343,7 @@ def _distance_core(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     dist = float(np.sum(np.einsum("ist,ist,st->s", diff, diff, w_mat) * ws))
     return DistanceReport(distance_squared=dist, trace_term=trace, cross_term=cross,
                           optimal_correlation=coupling[:, 0, 0] if m == n == 1 else coupling,
-                          grid_meta=meta)
+                          grid_meta=meta, nodes=s)
 
 
 def _finite(rule, grid: QuadratureGrid):
@@ -427,20 +431,16 @@ _GAUSS6 = _unit_gauss(6)
 _END_NODES = 32  # end rule of the cumulative integrals, whose nodes reach within 1e-8 of the end
 
 
-def _unit_rule_size(n: int) -> int:
-    """Node count of :func:`_graded_unit_nodes` asked for ``n``: a multiple of 16, at least 32."""
-    return 16 * max(n // 16, 2)
-
-
 def _graded_unit_nodes(beta0: float, beta1: float, n: int
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes s, offsets d = 1 - s and weights of a rule on [0, 1] for an integrand that behaves
-    as s^beta0 at s -> 0 and as d^beta1 at s -> 1: n // 16 Gauss-Legendre panels of order 16,
-    graded by 1/4 toward both ends; an end's innermost panel [0, eps] takes eps v^p,
+    as s^beta0 at s -> 0 and as d^beta1 at s -> 1: max(n // 16, 2) order-16 Gauss-Legendre
+    panels, graded by 1/4 toward both ends; an end's innermost panel [0, eps] takes eps v^p,
     p = q/(beta+1) (the power now v^(q-1)), q = 4 unless p would pass 12, down to q = 1: a
     steeper p pushes the next powers beyond the panel's degree.  The s -> 1 half is built as
     offsets, so d is exact where s rounds to 1."""
     x, w = _X16, _W16
+    n = 16 * max(n // 16, 2)
     u, wu = [], []  # distances to the end and weights, the s -> 0 end first
     for beta, m in ((beta0, n // 16 - n // 32), (beta1, n // 32)):
         # past 60 levels the ratio widens, and the cap on p keeps eps v^p a normal float
@@ -544,10 +544,10 @@ def _profile_integrals(pairs: list, beta: float, T: float, y: np.ndarray, d: np.
     return phi
 
 
-def _self_similar_cross(r1: _UnitRow, r2: _UnitRow, n: int) -> float:
-    """c12 = int_0^1 k1(1, s) k2(1, s) ds on the n nodes of :func:`_graded_unit_nodes`, with the
-    product's end powers: s^-(p0_1 + p0_2) and d^(h1 + h2 - 1)."""
-    s, d, w = _graded_unit_nodes(-(r1.p0 + r2.p0), r1.h + r2.h - 1.0, n)
+def _self_similar_cross(r1: _UnitRow, r2: _UnitRow, rule: tuple) -> float:
+    """c12 = int_0^1 k1(1, s) k2(1, s) ds on ``rule`` = (s, d, w) of :func:`_graded_unit_nodes`
+    with the product's end powers: s^-(p0_1 + p0_2) and d^(h1 + h2 - 1)."""
+    s, d, w = rule
     return float(w @ (r1.at(s, d) * r2.at(s, d)))
 
 
@@ -580,12 +580,12 @@ def _self_similar(r1: _UnitRow, r2: _UnitRow, T: float, grid: QuadratureGrid) ->
         # an overflow of these powers raises in _run_with_crosscheck
         a1, a2, f12 = (T ** (e + 1.0) / (e + 1.0) for e in (2.0 * r1.h, 2.0 * r2.h, r1.h + r2.h))
         trace = a1 * r1.sq + a2 * r2.sq
-        nodes = _unit_rule_size(g.n_s)
-        cross = f12 * (r1.sq if same else _self_similar_cross(r1, r2, nodes))
+        s, d, w = _graded_unit_nodes(-(r1.p0 + r2.p0), r1.h + r2.h - 1.0, g.n_s)
+        cross = f12 * (r1.sq if same else _self_similar_cross(r1, r2, (s, d, w)))
         return DistanceReport(distance_squared=_clamped_at_zero(trace - 2.0 * cross, trace),
                               trace_term=trace, cross_term=cross,
-                              optimal_correlation=np.ones(nodes),
-                              grid_meta={"n_s": nodes, "n_t": None, "scheme": "self_similar",
+                              optimal_correlation=np.ones(s.size), nodes=T * s,
+                              grid_meta={"n_s": s.size, "n_t": None, "scheme": "self_similar",
                                          "h1": r1.h, "h2": r2.h, "T": T})
     return _run_with_crosscheck(report, grid)
 
@@ -609,8 +609,6 @@ def _cumulative(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec, sides: t
     below 0 reads 0.
     """
     (k1, m1), (k2, m2) = spec1.components[0], spec2.components[0]
-    if m1.is_singular and m2.is_singular and m1.singular_tag != m2.singular_tag:
-        raise DomainError("cannot mix distinct singular measures")
     (h1, f1), (h2, f2) = sides
     row = next((f for _, f in sides if isinstance(f, _UnitRow)), None)
     same = _same_kernels([k1], [k2])
@@ -625,7 +623,7 @@ def _cumulative(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec, sides: t
             for lo, hi in zip(edges[:-1], edges[1:])
             for u, du, wu in [_graded_unit_nodes(-2.0 * row.p0 if row and lo == 0.0 else 0.0,
                                                  beta + 1.0 if hi == 1.0 else 0.0,
-                                                 _unit_rule_size(grid.n_s))])))
+                                                 grid.n_s)])))
         return y, d, w, measure.density_at(T * y)
 
     edges = [0.0, 1.0]
@@ -663,7 +661,8 @@ def _cumulative(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec, sides: t
     return DistanceReport(distance_squared=_clamped_at_zero(dist, trace), trace_term=trace,
                           cross_term=cross,
                           optimal_correlation=np.where(phi12 * a * b >= 0.0, 1.0, -1.0),
-                          grid_meta={"n_s": y.size, "n_t": None, "scheme": "cumulative"})
+                          grid_meta={"n_s": y.size, "n_t": None, "scheme": "cumulative"},
+                          nodes=T * y)
 
 
 def continuous_aw_fbm(h1: float, h2: float, T: float = 1.0,
@@ -913,4 +912,5 @@ def discretized_fbm_aw(h1: float, h2: float, T: float, n_steps: int) -> Distance
         cross_term=float(np.sum(np.abs(diag))) * dt,
         optimal_correlation=np.where(diag >= 0.0, 1.0, -1.0),
         grid_meta={"n_steps": n, "dt": dt, "scheme": "cholesky-midpoint-sampling"},
+        nodes=times,
     )

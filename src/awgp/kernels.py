@@ -521,14 +521,20 @@ def _lebesgue_density(s: np.ndarray) -> np.ndarray:
 class IntensityMeasure:
     """Quadratic-variation measure of a driving Gaussian martingale on [0, T].
 
-    Either absolutely continuous with the given density, or flagged singular
-    (only the Cantor measure is implemented).  Geometric means between a
-    singular measure and an absolutely continuous one vanish identically.
+    Either absolutely continuous with the given density, or singular with the
+    tag "cantor" and no density (only the Cantor measure is implemented); any
+    other construction raises DomainError.  Geometric means between a singular
+    measure and an absolutely continuous one vanish identically.
     """
 
     density: Callable[[np.ndarray], np.ndarray] | None = None
     singular_tag: str | None = None
     name: str = "lebesgue"
+
+    def __post_init__(self):
+        if (self.density is None, self.singular_tag) not in ((False, None), (True, "cantor")):
+            raise DomainError(f"measure '{self.name}' needs a density or the singular tag "
+                              f"'cantor', exactly one (tag {self.singular_tag!r})")
 
     @classmethod
     def lebesgue(cls) -> "IntensityMeasure":
@@ -564,9 +570,6 @@ class IntensityMeasure:
         """Midpoints and masses of the cells that carry a singular measure, in increasing
         order: Stieltjes nodes and weights for a rule of ``n`` nodes.  The Cantor measure
         gives its 2^k level-k triadic intervals, each of mass 2^-k, with 2^k >= 8 n."""
-        if self.singular_tag != "cantor":
-            raise DomainError(f"no Stieltjes cells for measure '{self.name}' "
-                              f"(singular tag {self.singular_tag!r})")
         level = (8 * n - 1).bit_length()
         left = np.zeros(1)
         for _ in range(level):

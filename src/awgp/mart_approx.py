@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, check_horizon
 from .gauss_aw import (_END_NODES, _clamped_at_zero, _graded_unit_nodes, _run_with_crosscheck,
-                       _tail_integrals, _unit_rule_size)
+                       _tail_integrals)
 # eval_mg_kernel and graded_gauss go unused here: the benchmark tracer binds them by name
 from .kernels import MolchanGolosov, _check_hurst, _unit_row, eval_mg_kernel  # noqa: F401
 from .quadrature import (QuadratureGrid, graded_gauss, graded_midpoint,  # noqa: F401
@@ -114,13 +114,12 @@ def mart_approx_distance(h: float, T: float = 1.0,
     def rule(g: QuadratureGrid) -> MartingaleApproxResult:
         scale = T ** (2.0 * h + 1.0)  # an overflow raises in _run_with_crosscheck
         r_nodes, _ = graded_midpoint(0.0, T, g.n_s, gamma)
-        nodes = _unit_rule_size(g.n_s)
-        s, d, w = _graded_unit_nodes(-2.0 * row.p0, 2.0 * h, nodes)
+        s, d, w = _graded_unit_nodes(-2.0 * row.p0, 2.0 * h, g.n_s)
         d_all = np.concatenate([(T - r_nodes) / T, d])
         rho1 = _tail_integrals(row, h + 0.5, np.concatenate([r_nodes / T, s]), d_all,
                                _END_NODES) / d_all
         dist = scale * (1.0 / (2.0 * h + 1.0) - float(w @ (d * rho1[r_nodes.size:] ** 2)))
         return MartingaleApproxResult(r_nodes, T ** (h - 0.5) * rho1[:r_nodes.size],
                                       _clamped_at_zero(dist, scale / (2.0 * h + 1.0)), h, T,
-                                      {"distance_nodes": nodes})
+                                      {"distance_nodes": s.size})
     return _run_with_crosscheck(rule, grid or QuadratureGrid())

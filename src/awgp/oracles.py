@@ -24,8 +24,7 @@ from scipy.special import hyp2f1 as scipy_hyp2f1
 
 from .errors import DomainError, check_count
 from .fsde import _BLOCK, CouplingControl, _coupling, _noise_block
-from .gauss_aw import (TriangularFactor, cholesky_causal_factor, continuous_aw_unit,
-                       _eval_components, _psd_sqrt, _t_matrix)
+from .gauss_aw import TriangularFactor, cholesky_causal_factor, continuous_aw_unit, _psd_sqrt
 from .kernels import (GaussianProcessSpec, IntensityMeasure, MolchanGolosov, VolterraKernel,
                       _mg_const, covariance, eval_fou_kernel, fbm_spec)
 from .mart_approx import mart_approx_distance, optimal_volatility
@@ -98,37 +97,22 @@ def bruteforce_discrete_cross_term(k1: TriangularFactor | np.ndarray,
 # Monte Carlo reproduction of the continuous formula
 # ---------------------------------------------------------------------------
 
-def pointwise_optimal_correlation(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
-                                  times: np.ndarray, n_t: int = 256) -> np.ndarray:
-    """sign(<k1(., s), k2(., s)>) at the given times (unit multiplicity)."""
-    T = spec1.T
-    out = np.ones(times.size)
-    inside = times < T
-    s = np.clip(times[inside], 1e-12, None)
-    t_mat, w_mat = _t_matrix(s, T, n_t, 2.0)
-    v = _eval_components([spec1.components[0][0], spec2.components[0][0]], t_mat, s)
-    ip = np.sum(v[0] * v[1] * w_mat, axis=1)
-    out[inside] = np.where(ip >= 0.0, 1.0, -1.0)
-    return out
-
-
 def mc_formula_check(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
                      grid: QuadratureGrid | None = None, n_steps: int = 256,
                      n_paths: int = 10_000, seed: int = 0) -> OracleVerdict:
     """Simulate the constructed optimal coupling and compare with the formula.
 
-    The coupling correlates the driving increments with the per-node sign of
-    the kernel inner product; the Monte Carlo cost must match the closed
-    form within 3 standard errors plus a fixed discretization budget of 2%
-    (reported separately in the diagnostics).
+    The coupling is the report's own: each of the ``n_steps`` cells correlates
+    its driving increments with the sign ``optimal_correlation`` gives at the
+    report node nearest the cell's midpoint.  The Monte Carlo cost must match
+    the closed form within 3 standard errors plus a fixed discretization
+    budget of 2% (reported separately in the diagnostics).
     """
     if spec1.multiplicity != 1 or spec2.multiplicity != 1:
         raise DomainError("mc_formula_check requires unit multiplicity")
     check_count(n_paths, "n_paths", 2)  # a standard error needs two paths
     check_count(n_steps, "n_steps")
-    grid = grid or QuadratureGrid()
-    meas1 = spec1.components[0][1]
-    meas2 = spec2.components[0][1]
+    (k1, meas1), (k2, meas2) = spec1.components[0], spec2.components[0]
     if meas1.is_singular or meas2.is_singular:
         raise DomainError("mc_formula_check requires Lebesgue-dominated measures")
     report = continuous_aw_unit(spec1, spec2, grid)
@@ -136,15 +120,15 @@ def mc_formula_check(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     T = spec1.T
     dt = T / n_steps
     cell_left = np.arange(n_steps) * dt
-    signs = pointwise_optimal_correlation(spec1, spec2, cell_left + 0.5 * dt, grid.n_t)
+    mids = cell_left + 0.5 * dt
+    signs = report.optimal_correlation[np.abs(report.nodes - mids[:, None]).argmin(axis=1)]
     control = CouplingControl.tabulated(cell_left, signs)
 
     # trapezoid rule in time: the check compares noises, so no Euler
     # information pattern constrains the quadrature
     weights = np.full(n_steps + 1, dt)
     weights[[0, -1]] = 0.5 * dt
-    cp = _coupling(spec1.components[0][0], spec2.components[0][0], control, T, n_steps,
-                   meas1, meas2)
+    cp = _coupling(k1, k2, control, T, n_steps, meas1, meas2)
     costs = np.empty(n_paths)
     for b, lo in enumerate(range(0, n_paths, _BLOCK)):
         z1b, z2b = _noise_block(cp, seed, b, n_paths)

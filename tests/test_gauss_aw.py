@@ -264,10 +264,8 @@ class TestContinuousUnit:
             assert rep.grid_meta["crosscheck_rel"] <= 1e-12
 
     def test_singular_measure_without_cells(self):
-        other = IntensityMeasure(singular_tag="other", name="other")
-        spec = GaussianProcessSpec(components=[(Brownian(T=1.0), other)], T=1.0)
         with pytest.raises(DomainError, match="other"):
-            continuous_aw_unit(spec, spec)
+            IntensityMeasure(singular_tag="other", name="other")
         # the Cantor measure charges times up to 1
         short = GaussianProcessSpec(components=[(Brownian(T=0.5), IntensityMeasure.cantor())],
                                     T=0.5)
@@ -417,7 +415,7 @@ class TestSelfSimilarRoute:
 
     def test_negative_beyond_rounding_raises(self, monkeypatch):
         # a rule 1% high on c12 puts trace - 2 cross far below 0
-        monkeypatch.setattr(gauss_aw, "_self_similar_cross", lambda r1, r2, n: 1.01)
+        monkeypatch.setattr(gauss_aw, "_self_similar_cross", lambda r1, r2, rule: 1.01)
         with pytest.raises(ConvergenceError, match="below 0"):
             continuous_aw_unit(fbm_spec(0.5), fbm_spec(0.6))
 
@@ -1067,6 +1065,32 @@ class TestLevyCounterexample:
         assert out["bm_self_distance_squared"] == pytest.approx(0.0, abs=1e-12)
 
 
+class TestReportNodes:
+    @pytest.mark.parametrize("route,T", [
+        (lambda: continuous_aw_unit(fbm_spec(0.3, T=2.0), fbm_spec(0.7, T=2.0)), 2.0),
+        (lambda: continuous_aw_unit(_rl_fou(0.15, 4.0, "mild"), _rl_fou(0.15, 4.0, "forward")),
+         1.0),
+        (lambda: continuous_aw_unit(fou_spec(0.6, 1.0, T=2.0), _unit(Brownian(T=2.0), T=2.0),
+                                    QuadratureGrid(n_s=32, n_t=32)), 2.0),
+        (lambda: continuous_aw_multi(*_CORE["two-components"](), QuadratureGrid(n_s=32, n_t=32)),
+         1.0),
+        (lambda: discretized_fbm_aw(0.3, 0.7, 2.0, 64), 2.0),
+    ], ids=["self-similar", "cumulative-breakpoint", "core", "core-multiplicity-2",
+            "discretized"])
+    def test_one_time_per_coupling_row(self, route, T):
+        rep = route()
+        assert rep.nodes.shape == (len(rep.optimal_correlation),)
+        assert np.all((rep.nodes > 0.0) & (rep.nodes < T))
+
+    def test_no_times_without_a_timed_coupling(self):
+        rep = discrete_aw(np.eye(3), 2.0 * np.eye(3))
+        assert rep.nodes is None and DistanceReport.from_json(rep.to_json()).nodes is None
+        # MG on the Cantor measure against fBM: the core's mutually singular branch
+        rep = continuous_aw_unit(_unit(MolchanGolosov(T=1.0, h=0.3), IntensityMeasure.cantor()),
+                                 fbm_spec(0.6), QuadratureGrid(n_s=16, n_t=16))
+        assert rep.optimal_correlation is None and rep.nodes is None
+
+
 class TestSerialization:
     def test_report_roundtrip(self):
         rep = continuous_aw_fbm(0.5, 0.75, 1.0, QuadratureGrid(n_s=64, n_t=64))
@@ -1076,6 +1100,8 @@ class TestSerialization:
         assert again.cross_term == rep.cross_term
         assert np.array_equal(again.optimal_correlation, rep.optimal_correlation)
         assert again.grid_meta == rep.grid_meta
+        assert np.array_equal(again.nodes, rep.nodes)
+        assert DistanceReport.from_json(rep.to_json(include_correlation=False)).nodes is None
 
     def test_covmatrix_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -571,6 +571,19 @@ class TestSameKernels:
         assert not _same_kernels((Brownian(),), (Brownian(), Brownian()))
 
 
+class TestIntensityMeasure:
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        # read as Cantor, it would put a quarter-density Brownian spec at distance 0 from the
+        # Cantor martingale
+        {"density": lambda s: 0.25 * np.ones_like(s), "singular_tag": "cantor"},
+        {"singular_tag": "other"},
+    ], ids=["neither", "density-and-cantor", "unknown-tag"])
+    def test_needs_a_density_or_the_cantor_tag(self, kwargs):
+        with pytest.raises(DomainError, match="exactly one"):
+            IntensityMeasure(**kwargs)
+
+
 class TestProcessSpec:
     def test_multiplicity_and_horizon(self):
         leb = IntensityMeasure.lebesgue()

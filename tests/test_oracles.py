@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from awgp.errors import DomainError
-from awgp.gauss_aw import (_self_similar_cross, cholesky_causal_factor, continuous_aw_fbm,
-                           continuous_aw_unit)
-from awgp.kernels import (Brownian, GaussianProcessSpec, IntensityMeasure, MolchanGolosov,
-                          RiemannLiouville, _unit_row, covariance, fbm_spec)
+from awgp.gauss_aw import (_graded_unit_nodes, _self_similar_cross, cholesky_causal_factor,
+                           continuous_aw_fbm, continuous_aw_unit)
+from awgp.kernels import (Brownian, FractionalOU, GaussianProcessSpec, IntensityMeasure,
+                          MolchanGolosov, RiemannLiouville, _unit_row, covariance, fbm_spec)
 from awgp.oracles import (OracleVerdict, bruteforce_discrete_cross_term, cholesky_marginal_paths,
                           fbm_aw_reference, get_golden, load_goldens, mc_formula_check,
-                          pointwise_optimal_correlation, psd_feasibility_sampler,
-                          quadrature_crosscheck, regenerate_goldens)
-from awgp.quadrature import QuadratureGrid, graded_midpoint
+                          psd_feasibility_sampler, quadrature_crosscheck, regenerate_goldens)
+from awgp.quadrature import QuadratureGrid
 
 
 class TestBruteforce:
@@ -51,46 +50,22 @@ class TestMcFormulaCheck:
         assert v.target == pytest.approx(0.0, abs=1e-10)
         assert v.oracle == pytest.approx(0.0, abs=1e-10)
 
-    def test_sign_control_all_positive_for_fbm(self):
-        times = np.linspace(0.0, 1.0, 17)[:-1]
-        signs = pointwise_optimal_correlation(fbm_spec(0.5), fbm_spec(0.75), times)
-        assert np.all(signs == 1.0)
-
-    def test_sign_probe_matches_old_inline_rule(self):
-        # the shared t-grid builder against the rule the probe used to write out
-        from awgp.gauss_aw import _levy_kernel
-        from awgp.kernels import Brownian, CallableKernel, GaussianProcessSpec, fou_spec
-
-        def old_probe(spec1, spec2, times, n_t):
-            k1, k2, T = spec1.components[0][0], spec2.components[0][0], spec1.T
-            out = np.ones(times.size)
-            inside = times < T
-            s = np.clip(times[inside], 1e-12, None)
-            u, w = graded_midpoint(0.0, 1.0, n_t, gamma=2.0, cluster="left")
-            t_mat = s[:, None] + (T - s)[:, None] * u[None, :]
-            w_mat = (T - s)[:, None] * w[None, :]
-            s_mat = np.broadcast_to(s[:, None], t_mat.shape)
-            ip = np.sum(k1.eval(t_mat.ravel(), s_mat.ravel()).reshape(t_mat.shape)
-                        * k2.eval(t_mat.ravel(), s_mat.ravel()).reshape(t_mat.shape) * w_mat,
-                        axis=1)
-            out[inside] = np.where(ip >= 0.0, 1.0, -1.0)
-            return out
-
-        points = []  # the (t, s) nodes the Levy kernel is evaluated on
-
-        def levy_fn(t, s, phi=_levy_kernel().fn):
-            points.append(np.concatenate([t, s]))
-            return phi(t, s)
-
-        leb = IntensityMeasure.lebesgue()
-        levy = GaussianProcessSpec(components=[(CallableKernel(fn=levy_fn), leb)], T=1.0)
-        bm = GaussianProcessSpec(components=[(Brownian(T=1.0), leb)], T=1.0)
-        times = np.linspace(0.0, 1.0, 201)
-        for spec1, spec2 in [(levy, bm), (fbm_spec(0.3), fou_spec(0.7, 5.0)), (bm, fbm_spec(0.8))]:
-            new = pointwise_optimal_correlation(spec1, spec2, times, 96)
-            assert np.array_equal(new, old_probe(spec1, spec2, times, 96))
-        assert np.array_equal(points[0], points[1])  # the nodes of the new probe, then the old
-        assert np.unique(pointwise_optimal_correlation(levy, bm, times, 96)).size == 2
+    def test_control_is_the_reports_coupling(self, monkeypatch):
+        # RL-base fOU at H = 0.15, lam = 4, mild against forward: the cross integral changes
+        # sign at s = 0.14605 (mpmath: -2.6e-4 at 0.146, +9.7e-3 at 0.148), where the report's
+        # rule has a breakpoint, so the cells at midpoints 0.1465 and 0.1504 take +1
+        from awgp import oracles
+        controls, coupling = [], oracles._coupling
+        monkeypatch.setattr(oracles, "_coupling", lambda k1, k2, control, *rest: (
+            controls.append(control) or coupling(k1, k2, control, *rest)))
+        mild, forward = (GaussianProcessSpec(components=[(FractionalOU(
+            T=1.0, h=0.15, lam=4.0, base="rl", convention=c), IntensityMeasure.lebesgue())],
+            T=1.0) for c in ("mild", "forward"))
+        mc_formula_check(mild, forward, n_steps=256, n_paths=2)
+        (control,) = controls
+        mids = control.times + 0.5 / 256
+        # midpoints 0.1426, 0.1465, 0.1504 and 0.1543
+        assert control.values[(mids > 0.14) & (mids < 0.155)].tolist() == [-1.0, 1.0, 1.0, 1.0]
 
     def test_exact_expectation_within_allowance(self, monkeypatch):
         # the estimator's expectation, without sampling: one block of two
@@ -207,7 +182,8 @@ class TestFbmReference:
         # route's rule, which the route skips at h1 == h2, sums it to 1 as well
         assert abs(fbm_aw_reference(h, h)) <= 1e-14
         row = _unit_row(MolchanGolosov(h=h))
-        assert _self_similar_cross(row, row, 256) == pytest.approx(1.0, abs=1e-12)
+        rule = _graded_unit_nodes(-2.0 * row.p0, 2.0 * row.h - 1.0, 256)
+        assert _self_similar_cross(row, row, rule) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("h1,h2", [(0.1, 0.45), (0.55, 0.9)])
     def test_error_falls_with_nodes(self, h1, h2):
