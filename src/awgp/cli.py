@@ -11,6 +11,7 @@ failure, 3 numerical failure (diagnostics on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -173,14 +174,12 @@ def _add_common(p: argparse.ArgumentParser, *reads: str) -> None:
     p.add_argument("--output", help="output file (default stdout)")
     for name in reads:
         p.add_argument("--" + name, **_READ_FLAGS[name])
-    if "threads" in reads:
-        # read per parser; a string default goes through ``type`` at parse time, so a bad
-        # $AWGP_THREADS is a usage error (exit 2) like a bad flag
-        p.set_defaults(threads=os.environ.get("AWGP_THREADS") or "1")
     p.add_argument("--config", help="JSON file supplying any of this command's flags")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="awgp",
         description="Adapted Wasserstein distances between Gaussian processes")
@@ -270,6 +269,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         args = parser.parse_args(_config_argv(argv, args, parser))
+    if getattr(args, "threads", 0) is None:  # read per call; a bad value exits 2 like a bad flag
+        try:
+            args.threads = _positive_int(os.environ.get("AWGP_THREADS") or "1")
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"$AWGP_THREADS: {exc}")
     missing = [f for f in args.required_fields if getattr(args, f, None) is None]
     if missing:
         sys.stderr.write(f"error: missing required flags: {', '.join('--' + m for m in missing)}\n")

@@ -441,16 +441,18 @@ def _graded_unit_nodes(beta0: float, beta1: float, n: int
     offsets, so d is exact where s rounds to 1."""
     x, w = _X16, _W16
     n = 16 * max(n // 16, 2)
-    u, wu = [], []  # distances to the end and weights, the s -> 0 end first
-    for beta, m in ((beta0, n // 16 - n // 32), (beta1, n // 32)):
-        # past 60 levels the ratio widens, and the cap on p keeps eps v^p a normal float
-        edges = 0.5 * 0.25 ** (np.arange(m) * min(1.0, 60.0 / m))
+    m0 = n // 16 - n // 32  # panels at the s -> 0 end, n // 32 at the s -> 1 end
+    levels = [np.arange(m) * min(1.0, 60.0 / m) for m in (m0, n // 32)]  # past 60 the ratio widens
+    edges = 0.5 * 0.25 ** np.concatenate(levels)  # distances of both ends' panel edges to the end
+    span = edges[:-1, None] - edges[1:, None]
+    u, wu = np.empty((2, edges.size, 16))  # one row per panel; each end's last is set below
+    u[:-1], wu[:-1] = edges[1:, None] + span * x, span * w
+    for i, beta in ((m0 - 1, beta0), (-1, beta1)):  # each end's innermost panel
         q = min(4, max(1, int(12.0 * (beta + 1.0))))
-        lo, span, p = edges[1:, None], -np.diff(edges)[:, None], min(q / (beta + 1.0), 100.0)
-        u.append(np.concatenate([(lo + span * x).ravel(), edges[-1] * x ** p]))
-        wu.append(np.concatenate([(span * w).ravel(), edges[-1] * p * x ** (p - 1.0) * w]))
-    return (np.concatenate([u[0], 1.0 - u[1]]), np.concatenate([1.0 - u[0], u[1]]),
-            np.concatenate(wu))
+        p = min(q / (beta + 1.0), 100.0)  # the cap keeps eps v^p a normal float
+        u[i], wu[i] = edges[i] * x ** p, edges[i] * p * x ** (p - 1.0) * w
+    return (np.concatenate([u[:m0], 1.0 - u[m0:]], axis=None),
+            np.concatenate([1.0 - u[:m0], u[m0:]], axis=None), wu.ravel())
 
 
 def _tail_integrals(row: _UnitRow, a: float, y: np.ndarray, d: np.ndarray, n_end: int,
@@ -562,6 +564,13 @@ def _clamped_at_zero(dist: float, trace: float) -> float:
     return dist
 
 
+def _normal_trace(*terms: float) -> float:
+    """Sum of positive trace terms; one below the smallest normal float raises ConvergenceError."""
+    if min(terms) < np.finfo(float).tiny:  # T^(2H+1) underflows as T -> 0
+        raise ConvergenceError(f"a trace term {min(terms):.3e} underflows the float range")
+    return sum(terms)
+
+
 def _self_similar(r1: _UnitRow, r2: _UnitRow, T: float, grid: QuadratureGrid) -> DistanceReport:
     """Distance between two homogeneous kernels on the Lebesgue measure, k(ct, cs) =
     c^(H-1/2) k(t, s).  Such kernels are positive (optimal sign +1) and the t-integral is
@@ -579,7 +588,7 @@ def _self_similar(r1: _UnitRow, r2: _UnitRow, T: float, grid: QuadratureGrid) ->
     def report(g: QuadratureGrid) -> DistanceReport:
         # an overflow of these powers raises in _run_with_crosscheck
         a1, a2, f12 = (T ** (e + 1.0) / (e + 1.0) for e in (2.0 * r1.h, 2.0 * r2.h, r1.h + r2.h))
-        trace = a1 * r1.sq + a2 * r2.sq
+        trace = _normal_trace(a1 * r1.sq, a2 * r2.sq)
         s, d, w = _graded_unit_nodes(-(r1.p0 + r2.p0), r1.h + r2.h - 1.0, g.n_s)
         cross = f12 * (r1.sq if same else _self_similar_cross(r1, r2, (s, d, w)))
         return DistanceReport(distance_squared=_clamped_at_zero(trace - 2.0 * cross, trace),

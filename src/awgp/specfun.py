@@ -13,11 +13,13 @@ F(alpha, beta; beta; w) is (1 - w)^(-alpha) (DLMF 15.4.6): with c = a + 1,
 as in the Molchan-Golosov family, that is the first series of the 1/z route.
 
 Everything here is a pure function of its arguments and accepts either
-scalars or numpy arrays for the main argument.
+scalars or numpy arrays for the main argument; the degree table of each parameter
+set is kept in a bounded cache, so a Hurst sweep that meets one H again reuses it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -65,11 +67,12 @@ def gamma_fn(x):
         If any entry of ``x`` is <= 0 or NaN.  Non-positive arguments never arise
         from valid Hurst parameters, so no analytic continuation is done.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0.0):  # NaN fails too
+    scalar = isinstance(x, float)  # a Python or numpy float skips the array round-trip
+    arr = x if scalar else np.asarray(x, dtype=float)
+    if not (arr > 0.0 if scalar else np.all(arr > 0.0)):  # NaN fails too
         raise DomainError("gamma_fn requires x > 0")
     out = scipy.special.gamma(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if scalar or np.isscalar(x) or arr.ndim == 0 else out
 
 
 def _rgamma(x: float) -> float:
@@ -170,6 +173,20 @@ def _degrees(params: list, counts: list, e: np.ndarray, e_pow: np.ndarray, max_t
         m = min(2 * m, max_terms)
 
 
+@functools.lru_cache(maxsize=32)  # a few tens of KiB each
+def _table(series: tuple, top: int, far: bool, max_terms: int):
+    """(coef, deg, e) of :func:`_degrees` on the rows :func:`hyp2f1` takes for ``series``, class
+    ``top`` and route ``far``: read-only, and cut to the columns :func:`_summer` reads."""
+    _, n_pfaff, w_max, w_pow = _ROUTES[far]
+    n_far, n_sum = w_max.size - n_pfaff, len(series) - 1
+    rows = np.concatenate([np.arange(top + 1)] + [np.arange(n_pfaff, w_max.size)] * n_sum)
+    coef, deg = _degrees(series, [top + 1] + [n_far] * n_sum, w_max[rows], w_pow[rows], max_terms)
+    out = coef[:, :deg.max() + 1].copy(), deg, w_max[rows]
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _summer(w: np.ndarray, g: np.ndarray, deg: np.ndarray, coef: np.ndarray, cuts: list):
     """sum_{n <= N} c_n w^n by Horner on each lane, c and N from its row g of :func:`_degrees`,
     the rows ascending within each section cuts[i]:cuts[i + 1].  A lane joins at its own N as
@@ -239,15 +256,14 @@ def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
             far = [(cf, ex, None if abs(c - ex - 1.0) <= 1e-15 * max(abs(c), 1.0)
                     else (ex, p, ex - q + 1.0))
                    for cf, ex, p, q in ((c1, a, c - b, b), (c2, b, c - a, a)) if cf != 0.0]
-    lut, n_pfaff, w_max, w_pow = _ROUTES[bool(far)]
+    lut, n_pfaff, w_max, _ = _ROUTES[bool(far)]
     # Pfaff: F(a,b;c;z) = (1-z)^{-a} F(a, c-b; c; w), w = z/(z-1).  One row of degrees per
     # Pfaff class up to |z|_max, then per 1/z-route class of each summed series; with that
     # route, the Pfaff rows are all its classes, so a lane's row is its key (+ n_far before)
     top = n_pfaff - 1 if far else int(np.searchsorted(_Z_EDGES, -z_min))  # class of |z|_max
     series = [(a, c - b, c)] + [p for cf, ex, p in far if p is not None]
     n_far, n_sum = w_max.size - n_pfaff, len(series) - 1
-    rows = np.concatenate([np.arange(top + 1)] + [np.arange(n_pfaff, w_max.size)] * n_sum)
-    coef, deg = _degrees(series, [top + 1] + [n_far] * n_sum, w_max[rows], w_pow[rows], max_terms)
+    coef, deg, e = _table(tuple(series), top, bool(far), max_terms)
     zf = z_arr.ravel()
     out = np.empty_like(zf)
     for lo in range(0, zf.size, _BLOCK):
@@ -268,7 +284,7 @@ def hyp2f1(a: float, b: float, c: float, z, max_terms: int = 10_000):
         for i, (lo_s, hi_s) in enumerate(zip(cuts, cuts[1:])):
             if hi_s > lo_s and deg[g[hi_s - 1]] < 0:  # the series' rows ascend in degree
                 first = 0 if i == 0 else top + 1 + (i - 1) * n_far
-                e_bad = w_max[rows[first + np.argmax(deg[first:] < 0)]]
+                e_bad = e[first + np.argmax(deg[first:] < 0)]
                 raise ConvergenceError(f"hyp2f1 series needs more than {max_terms} terms "
                                        f"at series variable {e_bad:.6g}")
         sums = _summer(w, g, deg, coef, cuts) if w.size else w

@@ -119,6 +119,11 @@ class TestAwFbm:
         assert code == 3 and out == ""
         assert "overflows" in err and "Traceback" not in err and len(err.splitlines()) == 1
 
+    def test_vanishing_horizon_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "aw-fbm", "--h1", "0.3", "--h2", "0.7", "--T", "1e-300")
+        assert code == 3 and out == ""
+        assert "underflows" in err and "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_domain_validation_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "aw-fbm", "--h1", "1.5", "--h2", "0.5")
         assert code == 2
@@ -129,6 +134,19 @@ class TestAwFbm:
         monkeypatch.setenv("AWGP_THREADS", "abc")
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--scenario", "scenario.json"])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_threads_env_read_on_every_call(self, tmp_path, monkeypatch, capsys):
+        # the parser is built once per process, so the variable must not be read there
+        path = tmp_path / "cov.csv"
+        path.write_text("1,0.5\n0.5,2\n")
+        argv = ["aw-discrete", "--cov1", str(path), "--cov2", str(path)]
+        monkeypatch.setenv("AWGP_THREADS", "2")
+        assert main(argv) == 0
+        monkeypatch.setenv("AWGP_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 

@@ -591,10 +591,25 @@ class TestNonFiniteInputs:
         with pytest.raises(ConvergenceError, match="overflows"):
             mart_approx_distance(0.7, 1e300)
 
-    def test_tiny_horizon_reads_zero(self):
-        # T^1.6 / 1.6 at T = 1e-300 is about 1e-480, which rounds to 0.0
-        rep = continuous_aw_fbm(0.3, 0.7, 1e-300)
-        assert rep.distance_squared == rep.trace_term == 0.0
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_horizon_raises(self):
+        # T^2.4 / 2.4 is about 1e-720 or 1e-360, below the smallest normal float: distinct
+        # processes would read distance 0 (or lose the H = 0.7 trace term)
+        for T in (1e-300, 1e-150):
+            with pytest.raises(ConvergenceError, match="underflows"):
+                continuous_aw_fbm(0.3, 0.7, T)
+            with pytest.raises(ConvergenceError, match="underflows"):
+                mart_approx_distance(0.7, T)
+
+    def test_small_horizon_scales(self):
+        # above the underflow both rules still scale as T^(2H+1) (self-similarity)
+        T = 1e-100
+        for h in (0.3, 0.7):
+            scale = T ** (2.0 * h + 1.0)
+            assert continuous_aw_fbm(h, h, T).trace_term == pytest.approx(
+                continuous_aw_fbm(h, h).trace_term * scale, rel=1e-12)
+            assert mart_approx_distance(h, T).distance_squared == pytest.approx(
+                mart_approx_distance(h, 1.0).distance_squared * scale, rel=1e-12)
 
 
 class TestEqualKernelsEvaluatedOnce:

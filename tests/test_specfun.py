@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from awgp.errors import ConvergenceError, DomainError
 from awgp.oracles import get_golden
-from awgp.specfun import _W_KEY, _W_PFAFF, _Z_EDGES, _degrees, gamma_fn, hyp2f1, hyp2f1_series
+from awgp.specfun import (_W_KEY, _W_PFAFF, _Z_EDGES, _degrees, _table, gamma_fn, hyp2f1,
+                          hyp2f1_series)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +36,19 @@ class TestGamma:
         rhs = xs * gamma_fn(xs)
         assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 1e-12
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, np.nan])
+    def test_scalar_path_matches_array_path_bitwise(self):
+        # a float skips the array round-trip; math.gamma would differ in the last ulp
+        xs = np.linspace(0.01, 3.0, 3000)
+        for scalars in (xs.tolist(), list(xs)):  # Python and numpy floats
+            vals = [gamma_fn(x) for x in scalars]
+            assert all(type(v) is float for v in vals)
+            assert np.array(vals).tobytes() == gamma_fn(xs).tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, np.nan] + [
+        pytest.param(x, id=name) for x, name in ((np.float64(0.0), "float64-zero"),
+                                                 (np.float64(-1.0), "float64-negative"),
+                                                 (np.float64(np.nan), "float64-nan"),
+                                                 (np.array([1.0, 0.0]), "array-with-zero"))])
     def test_domain_error(self, x):
         with pytest.raises(DomainError):
             gamma_fn(x)
@@ -267,3 +280,39 @@ class TestHyp2f1:
         with pytest.raises(ConvergenceError):
             hyp2f1(0.3, 1.3, 1.7, -1e6, max_terms=50)
 
+
+
+class TestDegreeTableCache:
+    """``hyp2f1`` builds each parameter set's degree table once, in a bounded cache."""
+
+    @pytest.mark.parametrize("params, z", [
+        ((-0.2, 0.2, 0.8), -np.geomspace(1e-6, 1e6, 256)),  # Molchan-Golosov, 1/z route
+        ((-0.2, 0.2, 0.8), -np.linspace(0.0, 0.9, 50)),  # Pfaff only
+        ((0.3, 1.7, 2.2), -np.geomspace(1e-3, 1e8, 300)),  # two summed series
+    ])
+    def test_miss_hit_and_cleared_cache_agree_bitwise(self, params, z):
+        _table.cache_clear()
+        miss = hyp2f1(*params, z)
+        hit = hyp2f1(*params, z)
+        assert _table.cache_info().hits == 1
+        _table.cache_clear()
+        cleared = hyp2f1(*params, z)
+        assert miss.tobytes() == hit.tobytes() == cleared.tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        key = (((-0.2, 0.6, 0.8),), 20, False, 10_000)
+        tables = _table(*key)
+        assert all(a is b for a, b in zip(tables, _table(*key)))
+        for arr in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        coef, deg, _ = tables
+        assert coef.shape[1] == deg.max() + 1  # only the columns the Horner sums read
+
+    def test_smaller_budget_after_a_default_call_still_raises(self):
+        # the budget is part of the key, and a degree of -1 raises on a hit as on a miss
+        z = -np.array([1e-4, 2e-4, 1e9, 0.99])
+        hyp2f1(-0.2, 0.2, 0.7, z)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="12 terms"):
+                hyp2f1(-0.2, 0.2, 0.7, z, max_terms=12)
