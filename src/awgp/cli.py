@@ -115,12 +115,9 @@ def _cmd_mart_approx(args) -> int:
 
 def _cmd_simulate(args) -> int:
     sc = build_scenario(args.scenario)
-    records = []
-    for control in sc.controls:
-        est = estimate_coupling_cost(sc.spec1, sc.spec2, control, sc.n_steps, sc.n_paths,
-                                     sc.seed, n_workers=args.threads)
-        records.append(est.to_dict())
-    _write(json.dumps(records, indent=2), args.output)
+    estimates = estimate_coupling_cost(sc.spec1, sc.spec2, sc.controls, sc.n_steps, sc.n_paths,
+                                       sc.seed, n_workers=args.threads)
+    _write(json.dumps([est.to_dict() for est in estimates], indent=2), args.output)
     if args.paths_csv:
         z1, z2 = simulate_coupled_noise(sc.spec1.noise_kernel, sc.spec2.noise_kernel,
                                         sc.controls[0], sc.spec1.T, sc.n_steps,

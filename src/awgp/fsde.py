@@ -14,9 +14,10 @@ on the calling thread.  The unit of work is a block of _BLOCK paths: normals
 from counter-based Philox streams keyed on (seed, stream, block), stream 1
 (dW~) skipped when sqrt(1-rho^2) is 0 on every cell; the kernel matmul;
 time-major Euler (one contiguous row per step, an admissibility scan per
-_SCAN_STEPS steps); per-path costs.  Blocks are reduced in index order, so
-results are bit-for-bit reproducible for any number of worker threads; while
-more than one runs, numpy's bundled OpenBLAS is held at one thread.
+_SCAN_STEPS steps); per-path costs.  A battery of controls shares each block's
+stream-0 draw and spec-1 pass.  Blocks are reduced in index order, so results
+are bit-for-bit reproducible for any number of worker threads; while more than
+one runs, numpy's bundled OpenBLAS is held at one thread.
 """
 
 from __future__ import annotations
@@ -275,35 +276,42 @@ def _coupling(k1: VolterraKernel, k2: VolterraKernel, control: CouplingControl, 
               n_steps: int, measure1: IntensityMeasure | None,
               measure2: IntensityMeasure | None) -> tuple:
     """(A1, A2, scale1, scale2, rho, mix) for one call's noise blocks: kernel matrices, sqrt cell
-    masses, the (predictable) control on each cell's left edge, sqrt(1 - rho^2) or None if all 0."""
+    masses and the control's :func:`_weights`."""
     dt = check_horizon(T) / check_count(n_steps, "n_steps", _MIN_STEPS)
     times = np.arange(n_steps + 1) * dt
     mids = times[:-1] + 0.5 * dt
     a1 = _kernel_matrix(k1, times, mids)
     a2 = a1 if _same_kernels((k1,), (k2,)) else _kernel_matrix(k2, times, mids)
     scales = [np.sqrt(_cell_mass(m, mids, dt)) for m in (measure1, measure2)]
-    rho = control.rho_at(times[:-1])
+    return a1, a2, *scales, *_weights(control, times[:-1])
+
+
+def _weights(control: CouplingControl, left: np.ndarray) -> tuple:
+    """(rho, mix): the control on cells with these left edges, sqrt(1 - rho^2) or None if all 0."""
+    rho = control.rho_at(left)
     mix = np.sqrt(np.clip(1.0 - rho * rho, 0.0, 1.0))
-    return a1, a2, *scales, rho, (mix if mix.any() else None)
+    return rho, (mix if mix.any() else None)
 
 
-def _noise_block(cp: tuple, seed: int, b: int, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
-    """Paths b*_BLOCK, ... of both noises, path-major (n_b, M+1).  Stream 1 is not
-    drawn when mix is None: rho*xi1 + 0*xi~ would be bitwise rho*xi1."""
-    a1, a2, scale1, scale2, rho, mix = cp
-    shape = (min(_BLOCK, n_paths - b * _BLOCK), rho.size)
-    xi1 = _normals(seed, 0, b, shape)
-    dm2 = rho * xi1
+def _noise2(xi1: np.ndarray, a2, scale2, rho, mix, seed: int, b: int, in_place=False) -> np.ndarray:
+    """Spec 2's path-major noise ((rho xi1 + mix xi~) scale2) A2^T, formed in xi1 if ``in_place``.
+    xi~ (Philox stream 1) is not drawn when mix is None: rho xi1 + 0 xi~ is bitwise rho xi1."""
+    dm2 = np.multiply(xi1, rho, out=xi1 if in_place else None)
     if mix is not None:
-        xi_t = _normals(seed, 1, b, shape)
+        xi_t = _normals(seed, 1, b, xi1.shape)
         xi_t *= mix
         dm2 += xi_t
         del xi_t
     dm2 *= scale2
-    xi1 *= scale1
-    z1 = xi1 @ a1.T
-    del xi1
-    return z1, dm2 @ a2.T
+    return dm2 @ a2.T
+
+
+def _noise_block(cp: tuple, seed: int, b: int, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """Paths b*_BLOCK, ... of both noises, path-major (n_b, M+1)."""
+    a1, a2, scale1, scale2, rho, mix = cp
+    xi1 = _normals(seed, 0, b, (min(_BLOCK, n_paths - b * _BLOCK), rho.size))
+    z2 = _noise2(xi1, a2, scale2, rho, mix, seed, b)  # reads xi1 before it is scaled
+    return np.multiply(xi1, scale1, out=xi1) @ a1.T, z2
 
 
 def simulate_coupled_noise(k1: VolterraKernel, k2: VolterraKernel, control: CouplingControl,
@@ -390,12 +398,14 @@ def _blas_capped(capped: bool):
         put(before)
 
 
-def estimate_coupling_cost(spec1: FsdeSpec, spec2: FsdeSpec, control: CouplingControl,
+def estimate_coupling_cost(spec1: FsdeSpec, spec2: FsdeSpec,
+                           control: CouplingControl | Sequence[CouplingControl],
                            n_steps: int, n_paths: int, seed: int,
                            n_workers: int = 1,
                            state_map1: Callable | None = None,
-                           state_map2: Callable | None = None) -> CostEstimate:
-    """Monte Carlo estimate of E int_0^T |X1(t) - X2(t)|^2 dt under the control.
+                           state_map2: Callable | None = None) -> CostEstimate | list[CostEstimate]:
+    """Monte Carlo estimate of E int_0^T |X1(t) - X2(t)|^2 dt under the control; for a
+    sequence of controls (a battery), a list of one estimate per control, in order.
 
     The time integral uses the left-endpoint rule, matching the information
     pattern of the Euler scheme.  ``state_map*`` post-compose the simulated
@@ -404,43 +414,58 @@ def estimate_coupling_cost(spec1: FsdeSpec, spec2: FsdeSpec, control: CouplingCo
     few time steps of a block at a time.
 
     The kernel matrices are built once (one if the kernels are equal), on the
-    calling thread.  The unit of work is a block ``(seed, block_index)`` of
-    _BLOCK paths on one of up to ``n_workers`` threads: Philox normals (stream
-    1 skipped when the control gives it no weight), matmul, time-major Euler
-    for spec 1 then spec 2 with an admissibility scan per _SCAN_STEPS steps,
-    per-path costs.  While more than one worker runs, numpy's OpenBLAS is held
-    at one thread, a process-wide setting restored on return.  Blocks are
-    reduced in index order, so the estimate is bit-stable for any worker
-    count, and a ``SimulationError`` names the path a per-step scan would:
-    first block, spec 1 before spec 2, earliest step, lowest path index.
+    calling thread.  The unit of work is a block ``(seed, block_index)`` of _BLOCK paths on
+    one of up to ``n_workers`` threads: stream-0 Philox normals and spec 1's matmul and Euler
+    pass, shared by the controls (common random numbers), and per control spec 2's (stream 1
+    drawn only if the control weights it) and the per-path costs, so each entry is bitwise its
+    control's estimate alone; an earlier control of a battery holds one more block array.
+    While more than one worker runs, numpy's OpenBLAS is held at one thread, a process-wide
+    setting restored on return.  Blocks are reduced in index order, so estimates are
+    bit-stable for any worker count, and a ``SimulationError`` names the path a per-step scan
+    would: first block, spec 1 before spec 2, first control, earliest step, lowest path index.
+    An empty sequence raises DomainError.
     """
+    controls = [control] if isinstance(control, CouplingControl) else list(control)
+    if not controls:
+        raise DomainError("a battery needs at least one coupling control")
     T = shared_horizon(spec1.T, spec2.T, "SDE specs")
     check_count(n_paths, "n_paths")
     check_count(n_workers, "n_workers")
-    cp = _coupling(spec1.noise_kernel, spec2.noise_kernel, control, T, n_steps, None, None)
+    a1, a2, scale1, scale2, *_ = _coupling(spec1.noise_kernel, spec2.noise_kernel, controls[0],
+                                           T, n_steps, None, None)
     dt = T / n_steps
+    weights = [_weights(c, np.arange(n_steps) * dt) for c in controls]
     n_blocks = -(-n_paths // _BLOCK)
-    costs = np.empty(n_paths)
+    costs = np.empty((len(controls), n_paths))
+
+    def mapped(x: np.ndarray, state_map: Callable | None) -> np.ndarray:  # in place, in steps
+        if state_map is not None:
+            for m in range(0, x.shape[0], _MAP_ROWS):
+                x[m:m + _MAP_ROWS] = state_map(x[m:m + _MAP_ROWS])
+        return x
 
     def block_costs(b: int) -> None:
-        noise = list(_noise_block(cp, seed, b, n_paths))  # popped: freed once Euler read it
-        x1, x2 = (_euler(spec, dt, noise.pop(0), b * _BLOCK) for spec in (spec1, spec2))
-        for x, state_map in ((x1, state_map1), (x2, state_map2)):
-            if state_map is not None:
-                for lo in range(0, x.shape[0], _MAP_ROWS):
-                    x[lo:lo + _MAP_ROWS] = state_map(x[lo:lo + _MAP_ROWS])
-        x1 -= x2
-        del x, x2
-        diff = np.square(x1[:-1], out=x1[:-1])
-        # into the caller's array: a result allocated here keeps the worker's heap from shrinking
-        np.sum(diff, axis=0, out=costs[b * _BLOCK:(b + 1) * _BLOCK])
+        lo = b * _BLOCK
+        xi1 = [_normals(seed, 0, b, (min(_BLOCK, n_paths - lo), n_steps))]
+        z = [np.multiply(xi1[0], scale1) @ a1.T]  # popped: freed once Euler read it
+        for k, (rho, mix) in enumerate(weights):
+            last = k == len(weights) - 1  # pops xi1 and works in it: one control holds 3 arrays
+            z.append(_noise2(xi1.pop() if last else xi1[0], a2, scale2, rho, mix, seed, b, last))
+            if k == 0:  # both noises first, then both states: the states reuse the draws' heap
+                x1 = mapped(_euler(spec1, dt, z.pop(0), lo), state_map1)
+            x2 = mapped(_euler(spec2, dt, z.pop(), lo), state_map2)
+            x2 -= x1  # bitwise -(x1 - x2), so its squares are the same
+            # into the caller's array: a result allocated here keeps the worker heap from shrinking
+            np.sum(np.square(x2[:-1], out=x2[:-1]), axis=0, out=costs[k, lo:lo + _BLOCK])
+            del x2
 
     with _blas_capped(min(n_workers, n_blocks) > 1), ThreadPoolExecutor(n_workers) as pool:
         list(pool.map(block_costs, range(n_blocks)))  # a worker's error raises here
     costs *= dt
-    mean = float(np.mean(costs))
-    se = float(np.std(costs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("inf")
-    return CostEstimate(mean=mean, std_error=se, n_paths=n_paths, control=control.describe())
+    out = [CostEstimate(mean=float(np.mean(row)), n_paths=n_paths, control=c.describe(),
+                        std_error=float(np.std(row, ddof=1) / np.sqrt(n_paths)) if n_paths > 1
+                        else float("inf")) for row, c in zip(costs, controls)]
+    return out[0] if isinstance(control, CouplingControl) else out
 
 
 # ---------------------------------------------------------------------------

@@ -615,7 +615,8 @@ def _cumulative(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec, sides: t
     sqrt(rho2) and c = |Phi_12| each node adds c (|a| - |b|)^2 + (Phi_11 - c) a^2 +
     (Phi_22 - c) b^2, a sum of squares for two martingales (every Phi_ij = T - s) and exactly 0
     for equal specs; an MG pair gives trace - 2 cross.  A value within 4 eps of the trace
-    below 0 reads 0.
+    below 0 reads 0.  A trace that underflows raises ConvergenceError unless the specs are
+    equal or both 0 on every node, where it is exactly 0 apart.
     """
     (k1, m1), (k2, m2) = spec1.components[0], spec2.components[0]
     (h1, f1), (h2, f2) = sides
@@ -665,6 +666,8 @@ def _cumulative(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec, sides: t
     trace = sum(T ** (2.0 * h + 1.0) / (2.0 * h + 1.0) if isinstance(f, _UnitRow)
                 else float(w @ (phi_ii * v * v))
                 for (h, f), phi_ii, v in zip(sides, (phi11, phi22), (a, b)))
+    if (a.any() or b.any()) and not (same and np.array_equal(a, b)):
+        trace = _normal_trace(trace)  # distinct processes would read distance and trace 0
     dist = trace - 2.0 * cross if row is not None else float(
         w @ (c * (np.abs(a) - np.abs(b)) ** 2 + (phi11 - c) * a * a + (phi22 - c) * b * b))
     return DistanceReport(distance_squared=_clamped_at_zero(dist, trace), trace_term=trace,

@@ -245,8 +245,8 @@ def test_criterion_10_synchronous_dominance():
         for spec in (s1, s2):
             rep = assumption_checker(spec)
             assert rep.monotonicity_satisfied and rep.all_regularity_passed, label
-        costs = [estimate_coupling_cost(s1, s2, c, n_steps, n_paths, seed=777,
-                                        state_map1=map1, state_map2=map2) for c in controls]
+        costs = estimate_coupling_cost(s1, s2, controls, n_steps, n_paths, seed=777,
+                                       state_map1=map1, state_map2=map2)
         sync = costs[0]
         slack = min(c.mean + 3.0 * np.sqrt(sync.std_error ** 2 + c.std_error ** 2) - sync.mean
                     for c in costs[1:])

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from awgp.cli import main
+from awgp.config import build_scenario
+from awgp.fsde import estimate_coupling_cost
 from awgp.gauss_aw import DistanceReport
 from awgp.oracles import default_registry_path, get_golden
 
@@ -245,6 +247,17 @@ class TestAwUnitMulti:
         assert code == 3 and out == ""
         assert "lam = 1000" in err
 
+    def test_vanishing_horizon_cumulative_route_exit_3(self, tmp_path, capsys):
+        paths = []
+        for name, kernel in (("fou", {"kind": "fou", "h": 0.3, "lam": 2.0, "base": "rl"}),
+                             ("bm", "brownian")):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"T": 1e-300, "components": [{"kernel": kernel}]}))
+        code, out, err = run_cli(capsys, "aw-unit", "--spec1", str(paths[0]), "--spec2",
+                                 str(paths[1]))
+        assert code == 3 and out == ""
+        assert "underflows" in err and "Traceback" not in err
+
     # np.interp needs increasing abscissae and would silently interpolate anything else
     @pytest.mark.parametrize("component", [
         {"kernel": {"kind": "constant_volatility", "s": [0.5, 0.0, 1.0], "rho": [1, 2, 3]}},
@@ -370,6 +383,18 @@ class TestSimulate:
         _, out1, _ = run_cli(capsys, "simulate", "--scenario", sc)
         _, out2, _ = run_cli(capsys, "simulate", "--scenario", sc)
         assert out1 == out2
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_battery_output_is_the_per_control_loop(self, tmp_path, capsys, threads):
+        # one battery call prints, byte for byte, what one estimate per control printed
+        sc = _scenario(tmp_path, n_paths=5000, M=16)
+        code, out, _ = run_cli(capsys, "simulate", "--scenario", sc, "--threads", threads)
+        scenario = build_scenario(sc)
+        records = [estimate_coupling_cost(scenario.spec1, scenario.spec2, control,
+                                          scenario.n_steps, scenario.n_paths, scenario.seed,
+                                          n_workers=int(threads)).to_dict()
+                   for control in scenario.controls]
+        assert code == 0 and out == json.dumps(records, indent=2) + "\n"
 
     def test_explosion_exit_3(self, tmp_path, capsys):
         sc = _scenario(tmp_path, drift1={"name": "linear", "a": 1e5},

@@ -289,6 +289,48 @@ class TestCouplingCost:
         assert CostEstimate.from_dict(est.to_dict()) == est
 
 
+class TestBattery:
+    """A sequence of controls shares each block's stream-0 draw and spec-1 pass."""
+
+    @pytest.mark.parametrize("maps", [False, True], ids=["no maps", "lamperti maps"])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_paths", [4095, 8192, 10_000])
+    def test_entries_are_the_single_calls(self, n_paths, n_workers, maps):
+        controls = [*CONTROLS.values(), CouplingControl.tabulated([0.0, 0.5, 1.0], [1.0, -0.2, 0.7])]
+        unit, _ = make_diffusion({"name": "const", "c": 1.0})
+        s1 = FsdeSpec(np.tanh, unit, 0.0, MolchanGolosov(T=1.0, h=0.6), 1.0)
+        s2 = FsdeSpec(np.tanh, unit, 0.3, RiemannLiouville(T=1.0, h=0.8), 1.0)
+        state_maps = (None, None)
+        if maps:
+            sigma, _ = make_diffusion({"name": "sin_offset", "c": 2.0})
+            state_maps = tuple(lamperti_inverse_interpolator(sigma, x0, (-15.0, 15.0), n=1025)
+                               for x0 in (0.0, 0.5))
+        run = lambda c: estimate_coupling_cost(s1, s2, c, 16, n_paths, 21, n_workers=n_workers,
+                                               state_map1=state_maps[0], state_map2=state_maps[1])
+        assert run(controls) == [run(c) for c in controls]
+        assert run(controls[2:3]) == [run(controls[2])]
+
+    @pytest.mark.parametrize("controls", [[], ()], ids=["list", "tuple"])
+    def test_empty_sequence_rejected(self, controls):
+        spec = _additive_spec(BM)
+        with pytest.raises(DomainError):
+            estimate_coupling_cost(spec, spec, controls, 16, 10, seed=0)
+
+    def test_holds_at_most_one_more_block_array(self):
+        # an earlier control keeps the raw stream-0 draw (4096 x M) for the next, and the
+        # second row of costs is 4096 more: one 4096 x (M+1) array, plus 1% for small objects;
+        # the last control works in that draw, so one control alone holds three, as before
+        spec = _additive_spec(MolchanGolosov(T=1.0, h=0.75))
+        peaks = []
+        for control in (CONTROLS["independent"], [CONTROLS["independent"]] * 2):
+            tracemalloc.start()
+            estimate_coupling_cost(spec, spec, control, 128, 4096, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] < 3.25 * 4096 * 129 * 8
+        assert peaks[1] - peaks[0] <= 1.01 * 4096 * 129 * 8
+
+
 class TestExplosionScan:
     """The first exploding path, as a per-step scan reports it.
 
@@ -299,7 +341,7 @@ class TestExplosionScan:
     """
 
     @staticmethod
-    def _run(monkeypatch, spikes, n_steps, n_paths, n_workers):
+    def _run(monkeypatch, spikes, n_steps, n_paths, n_workers, control=SYNC):
         def spiked(seed, stream, block, shape):
             xi = np.zeros(shape)
             for path, step, size in spikes:
@@ -312,7 +354,7 @@ class TestExplosionScan:
         specs = [FsdeSpec(zero, make_diffusion({"name": "const", "c": c})[0], 0.0, BM, 1.0)
                  for c in (1.0, 1e3)]
         with pytest.raises(SimulationError) as exc:
-            estimate_coupling_cost(*specs, SYNC, n_steps, n_paths, seed=0, n_workers=n_workers)
+            estimate_coupling_cost(*specs, control, n_steps, n_paths, seed=0, n_workers=n_workers)
         return exc.value.path_index
 
     @pytest.mark.parametrize("n_workers", [1, 2])
@@ -342,6 +384,23 @@ class TestExplosionScan:
     def test_spec1_error_wins_within_block(self, monkeypatch, n_workers):
         spikes = [(3, 5, 1e11), (9, 40, 1e14)]
         assert self._run(monkeypatch, spikes, 100, 100, n_workers) == 9
+        assert self._run(monkeypatch, spikes, 100, 100, n_workers, [SYNC, SYNC]) == 9
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_later_control_of_first_block_wins(self, monkeypatch, n_workers):
+        # the independent control reads only stream 1 (zeros here), so path 3 explodes only
+        # under the second control; path 4100 explodes spec 1 of the second block
+        spikes = [(3, 5, 1e11), (4100, 1, 1e14)]
+        battery = [CouplingControl.independent(), SYNC]
+        assert self._run(monkeypatch, spikes, 100, 5000, n_workers, battery) == 3
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_first_control_wins_within_block(self, monkeypatch, n_workers):
+        # early couples the first half of [0, 1] and late the second: each sees one spike
+        early, late = (CouplingControl.piecewise_constant(v, T=1.0) for v in ([1, 0], [0, 1]))
+        spikes = [(7, 10, 1e11), (3, 80, 1e11)]
+        assert self._run(monkeypatch, spikes, 100, 100, n_workers, [early, late]) == 7
+        assert self._run(monkeypatch, spikes, 100, 100, n_workers, [late, early]) == 3
 
 
 @pytest.fixture

@@ -611,6 +611,20 @@ class TestNonFiniteInputs:
             assert mart_approx_distance(h, T).distance_squared == pytest.approx(
                 mart_approx_distance(h, 1.0).distance_squared * scale, rel=1e-12)
 
+    def test_tiny_horizon_raises_on_the_cumulative_route(self):
+        # T Phi_ii and the node weights are each about 1e-300, so both trace terms underflow:
+        # two distinct processes would read distance and trace 0
+        T = 1e-300
+        with pytest.raises(ConvergenceError, match="underflows"):
+            continuous_aw_unit(fou_spec(0.3, 2.0, T, base="rl"), _unit(Brownian(T=T), T=T))
+
+    def test_zero_volatility_trace_term_reads_zero(self):
+        # a side that is 0 on every node has a trace term of exactly 0, not an underflow
+        still = _unit(_cv(lambda s: 0.0 * s))
+        assert continuous_aw_unit(still, still).trace_term == 0.0
+        rep = continuous_aw_unit(still, _unit(Brownian(T=1.0)))
+        assert rep.trace_term == rep.distance_squared == 0.5
+
 
 class TestEqualKernelsEvaluatedOnce:
     @staticmethod
