@@ -28,9 +28,8 @@ from .kernels import (Brownian, CallableKernel, ConstantVolatility, FractionalOU
                       cantor_martingale_spec, covariance, eval_fou_kernel, eval_mg_kernel,
                       eval_rl_kernel, fbm_spec, fou_spec, load_tabulated_csv)
 from .mart_approx import MartingaleApproxResult, mart_approx_distance, optimal_volatility
-from .oracles import (OracleVerdict, bruteforce_discrete_cross_term, cholesky_marginal_paths,
-                      get_golden, load_goldens, mc_formula_check, psd_feasibility_sampler,
-                      quadrature_crosscheck, regenerate_goldens)
+from .oracles import (OracleVerdict, bruteforce_discrete_cross_term, get_golden, load_goldens,
+                      mc_formula_check, psd_feasibility_sampler, regenerate_goldens)
 from .quadrature import QuadratureGrid
 from .specfun import gamma_fn, hyp2f1, hyp2f1_series
 
@@ -59,8 +58,7 @@ __all__ = [
     "assumption_checker",
     # oracles
     "OracleVerdict", "bruteforce_discrete_cross_term", "mc_formula_check",
-    "psd_feasibility_sampler", "quadrature_crosscheck", "cholesky_marginal_paths",
-    "load_goldens", "get_golden", "regenerate_goldens",
+    "psd_feasibility_sampler", "load_goldens", "get_golden", "regenerate_goldens",
     # quadrature
     "QuadratureGrid",
     # errors

@@ -68,6 +68,13 @@ def _parse_range(text: str) -> np.ndarray:
 
 def _cmd_aw_fbm(args) -> int:
     grid = _grid_from_args(args)
+    unread = ("h1", "h2", "correlations") if args.sweep else ("h1_range", "h2_range")
+    given = ["--" + f.replace("_", "-") for f in unread
+             if getattr(args, f) is not None and getattr(args, f) is not False]  # --h1 0 is given
+    if given:
+        sys.stderr.write(f"error: aw-fbm {'with' if args.sweep else 'without'} --sweep does "
+                         f"not read {', '.join(given)}\n")
+        return _EXIT_VALIDATION
     if not args.sweep and (args.h1 is None or args.h2 is None):
         sys.stderr.write("error: aw-fbm requires --h1 and --h2 (or --sweep)\n")
         return _EXIT_VALIDATION
@@ -187,9 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h1", type=float)
     p.add_argument("--h2", type=float)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--sweep", action="store_true", help="emit a CSV over an (H1, H2) grid")
-    p.add_argument("--h1-range", help="sweep range lo:hi:count")
-    p.add_argument("--h2-range", help="sweep range lo:hi:count")
+    p.add_argument("--sweep", action="store_true",
+                   help="emit a CSV over an (H1, H2) grid, whatever --format says; it takes "
+                        "neither --h1, --h2 nor --correlations")
+    p.add_argument("--h1-range", help="sweep range lo:hi:count (--sweep only)")
+    p.add_argument("--h2-range", help="sweep range lo:hi:count (--sweep only)")
     _add_common(p, "correlations", "format", "grid")
     p.set_defaults(fn=_cmd_aw_fbm, required_fields=())
 

@@ -5,8 +5,7 @@ kernel, Z(t_m) = sum_{j<m} A[m, j] dW_j with A[m, j] the per-cell RMS kernel
 value, so a coupling control rho(t) acts directly on the increments:
 dW_2 = rho dW_1 + sqrt(1-rho^2) dW~.  An exact-Cholesky generator would
 reproduce joint laws better per step but exposes no increments for the
-control to act on; it exists in the oracles module as a marginal-law
-cross-check only.
+control to act on.
 
 State recursions use the explicit Euler scheme, valid in the Young regime
 (noise kernels with H > 1/2).  The kernel matrices are built once per call,
@@ -134,6 +133,9 @@ class FsdeSpec:
     diffusion_name: str = "custom"
 
 
+_CONSTANT_RHO = {"synchronous": 1.0, "antithetic": -1.0, "independent": 0.0}
+
+
 @dataclass(frozen=True)
 class CouplingControl:
     """Correlation control rho: [0, T] -> [-1, 1] between driving increments."""
@@ -143,14 +145,19 @@ class CouplingControl:
     times: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.values is None:
+        if self.kind in _CONSTANT_RHO:
+            if self.values is not None or self.times is not None:
+                raise DomainError(f"the {self.kind} coupling takes no values or times")
             return
+        if self.kind not in ("piecewise_constant", "tabulated"):
+            raise DomainError(f"unknown control kind {self.kind!r}")
         vals = np.asarray(self.values, dtype=float)
-        # a NaN fails the bound, so it is rejected with the rest
+        # a NaN fails the bound, so it is rejected with the rest; None reads as NaN
         if not (vals.size and np.all(np.abs(vals) <= 1.0 + 1e-12)):
             raise DomainError("coupling correlation needs at least one value, each with |rho| <= 1")
-        if self.kind == "tabulated":
-            _increasing_table(self.times, vals, "tabulated coupling")
+        times, vals = _increasing_table(self.times, vals, f"{self.kind} coupling")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def synchronous(cls) -> "CouplingControl":
@@ -167,29 +174,22 @@ class CouplingControl:
     @classmethod
     def piecewise_constant(cls, values, T: float) -> "CouplingControl":
         vals = np.asarray(values, dtype=float)
-        edges = np.linspace(0.0, T, vals.size + 1)[:-1]
+        edges = np.linspace(0.0, check_horizon(T), vals.size + 1)[:-1]
         return cls(kind="piecewise_constant", values=vals, times=edges)
 
     @classmethod
     def tabulated(cls, times, values) -> "CouplingControl":
-        return cls(kind="tabulated", values=np.asarray(values, dtype=float),
-                   times=np.asarray(times, dtype=float))
+        return cls(kind="tabulated", values=values, times=times)
 
     def rho_at(self, t) -> np.ndarray:
         t_arr = np.asarray(t, dtype=float)
-        if self.kind == "synchronous":
-            return np.ones_like(t_arr)
-        if self.kind == "antithetic":
-            return -np.ones_like(t_arr)
-        if self.kind == "independent":
-            return np.zeros_like(t_arr)
+        if self.kind in _CONSTANT_RHO:
+            return np.full_like(t_arr, _CONSTANT_RHO[self.kind])
         if self.kind == "piecewise_constant":
             # right-continuous on uniform cells: cell j applies from its left edge
             idx = np.clip(np.searchsorted(self.times, t_arr, side="right") - 1, 0, self.values.size - 1)
             return self.values[idx]
-        if self.kind == "tabulated":
-            return np.clip(np.interp(t_arr, self.times, self.values), -1.0, 1.0)
-        raise DomainError(f"unknown control kind {self.kind!r}")
+        return np.clip(np.interp(t_arr, self.times, self.values), -1.0, 1.0)
 
     def describe(self) -> dict:
         d = {"kind": self.kind}
@@ -603,7 +603,10 @@ def assumption_checker(spec: FsdeSpec, state_range: tuple[float, float] | None =
         s0 = max(abs(float(np.asarray(spec.diffusion(spec.x0)))), 1e-6)
         half = 5.0 * s0 * np.sqrt(spec.T)
         state_range = (spec.x0 - half, spec.x0 + half)
-    xs = np.linspace(state_range[0], state_range[1], 512)
+    lo, hi = state_range
+    if not -np.inf < lo < hi < np.inf:  # NaN fails every comparison
+        raise DomainError(f"state_range must be finite with lo < hi, got {state_range!r}")
+    xs = np.linspace(lo, hi, 512)
     dx = xs[1] - xs[0]
     sig = np.asarray(spec.diffusion(xs), dtype=float)
     drift = np.asarray(spec.drift(xs), dtype=float)

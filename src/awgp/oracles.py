@@ -25,18 +25,16 @@ from scipy.special import hyp2f1 as scipy_hyp2f1
 from .errors import DomainError, check_count
 from .fsde import _BLOCK, CouplingControl, _coupling, _noise_block
 from .gauss_aw import TriangularFactor, cholesky_causal_factor, continuous_aw_unit, _psd_sqrt
-from .kernels import (GaussianProcessSpec, IntensityMeasure, MolchanGolosov, VolterraKernel,
-                      _mg_const, covariance, eval_fou_kernel, fbm_spec)
+from .kernels import (GaussianProcessSpec, IntensityMeasure, MolchanGolosov, _mg_const,
+                      covariance, eval_fou_kernel, fbm_spec)
 from .mart_approx import mart_approx_distance, optimal_volatility
-from .quadrature import QuadratureGrid, gauss_jacobi_power, graded_gauss, graded_midpoint
+from .quadrature import QuadratureGrid, graded_midpoint
 
 __all__ = [
     "OracleVerdict",
     "bruteforce_discrete_cross_term",
     "mc_formula_check",
     "psd_feasibility_sampler",
-    "quadrature_crosscheck",
-    "cholesky_marginal_paths",
     "load_goldens",
     "get_golden",
     "regenerate_goldens",
@@ -55,16 +53,6 @@ class OracleVerdict:
     mode: str = "abs"  # or "rel"
     passed: bool = False
     diagnostics: str = ""
-
-    @classmethod
-    def compare(cls, target: float, oracle: float, tolerance: float, mode: str = "abs",
-                diagnostics: str = "") -> "OracleVerdict":
-        err = abs(target - oracle)
-        if mode == "rel":
-            err /= max(abs(oracle), 1e-300)
-        return cls(target=target, oracle=oracle, tolerance=tolerance, mode=mode,
-                   passed=bool(err <= tolerance),
-                   diagnostics=diagnostics or f"{mode} error {err:.3e} vs tol {tolerance:.3e}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -146,28 +134,6 @@ def mc_formula_check(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
                      f"discretization budget = {budget - 3*mc_se:.4e}"))
 
 
-def cholesky_marginal_paths(kernel: VolterraKernel, measure: IntensityMeasure,
-                            times: np.ndarray, n_paths: int, seed: int,
-                            grid: QuadratureGrid | None = None) -> np.ndarray:
-    """Exact-Cholesky path generator: marginal-law cross-check only.
-
-    Draws jointly Gaussian samples of Z at the given times from the
-    quadrature covariance matrix.  The factorization exposes no driving
-    increments, so it cannot host a coupling control.
-    """
-    n_paths = check_count(n_paths, "n_paths")
-    grid = grid or QuadratureGrid()
-    times = np.asarray(times, dtype=float)
-    n = times.size
-    cov = np.empty((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            cov[i, j] = cov[j, i] = covariance(kernel, measure, times[i], times[j], grid)
-    low = cholesky_causal_factor(cov).entries
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 99))))
-    return gen.standard_normal((n_paths, n)) @ low.T
-
-
 # ---------------------------------------------------------------------------
 # feasible cross-covariance sampler (trace bound)
 # ---------------------------------------------------------------------------
@@ -189,48 +155,6 @@ def psd_feasibility_sampler(a: np.ndarray, b: np.ndarray, n_samples: int,
         q = gen.standard_normal((m, n))
         q *= gen.uniform() / np.linalg.svd(q, compute_uv=False)[0]
         yield ra @ q @ rb
-
-
-# ---------------------------------------------------------------------------
-# quadrature cross-checks
-# ---------------------------------------------------------------------------
-
-def _run_scheme(integrand, a: float, b: float, scheme: dict) -> float:
-    name = scheme.get("scheme", "graded_midpoint")
-    n = check_count(scheme.get("n", 256), "scheme n")
-    gamma = float(scheme.get("gamma", 2.0))
-    cluster = scheme.get("cluster", "left")
-    if name == "graded_midpoint":
-        x, w = graded_midpoint(a, b, n, gamma=gamma, cluster=cluster)
-    elif name == "graded_gauss":
-        x, w = graded_gauss(a, b, max(n // 4, 2),
-                            order=check_count(scheme.get("order", 4), "scheme order"),
-                            gamma=gamma, cluster=cluster)
-    elif name == "gauss_jacobi":
-        # the rule absorbs the (x - a)^beta factor, so it is divided back out
-        # of the full integrand; nodes are interior, never at x = a
-        beta = float(scheme["beta"])
-        x, w = gauss_jacobi_power(a, b, n, beta=beta)
-        w = w / (x - a) ** beta
-    else:
-        raise DomainError(f"unknown quadrature scheme {name!r}")
-    return float(np.sum(np.asarray(integrand(x), dtype=float) * w))
-
-
-def quadrature_crosscheck(integrand, a: float, b: float, scheme_a: dict, scheme_b: dict,
-                          rtol: float | None = None, singular: bool = False) -> OracleVerdict:
-    """Evaluate one integral under two schemes and compare.
-
-    Default tolerances: 1e-5 relative for smooth integrands, 1e-3 for
-    singular ones.  Every scheme receives the full integrand; the
-    ``gauss_jacobi`` scheme declares its endpoint exponent via ``beta``.
-    """
-    if rtol is None:
-        rtol = 1e-3 if singular else 1e-5
-    va = _run_scheme(integrand, a, b, scheme_a)
-    vb = _run_scheme(integrand, a, b, scheme_b)
-    return OracleVerdict.compare(va, vb, rtol, mode="rel",
-                                 diagnostics=f"scheme_a={va!r} scheme_b={vb!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 * a composite midpoint rule on a graded mesh (nodes clustered at one or both
   endpoints with a power-law grading), the continuous distance core's one
-  rule, and
-* composite Gauss-Legendre panels on a graded mesh, plus a true Gauss-Jacobi
-  rule for integrands of the form (t - s)^beta * smooth, and
+  rule,
+* composite Gauss-Legendre panels on a graded mesh, and
 * the scan that chains panel integrals into cumulative ones.
 
 Midpoint and graded nodes never touch the interval endpoints, so kernel
@@ -17,12 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_legendre
 
 from .errors import DomainError, check_count
 
-__all__ = ["QuadratureGrid", "graded_midpoint", "graded_gauss", "gauss_jacobi_power",
-           "grading_exponent", "linear_scan"]
+__all__ = ["QuadratureGrid", "graded_midpoint", "graded_gauss", "grading_exponent",
+           "linear_scan"]
 
 
 def grading_exponent(alpha: float, h_min: float = 0.5) -> float:
@@ -74,14 +73,12 @@ def _graded_edges(a: float, b: float, n: int, gamma: float, cluster: str) -> np.
     u = (np.arange(n + 1) / n) ** gamma
     if cluster == "left":
         return a + (b - a) * u
-    if cluster == "right":
-        return b - (b - a) * u[::-1]
     if cluster == "both":
         half = n // 2
         left = a + (b - a) / 2.0 * (np.arange(half + 1) / half) ** gamma
         right = b - (b - a) / 2.0 * ((np.arange(n - half, -1, -1)) / (n - half)) ** gamma
         return np.concatenate([left, right[1:]])
-    raise ValueError(f"unknown cluster mode {cluster!r}")
+    raise DomainError(f"unknown cluster mode {cluster!r}")
 
 
 def graded_midpoint(a: float, b: float, n: int, gamma: float = 2.0,
@@ -102,20 +99,6 @@ def graded_gauss(a: float, b: float, n_panels: int, order: int = 4,
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def gauss_jacobi_power(a: float, b: float, n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for integrals of (x - a)^beta * f(x) over [a, b].
-
-    Returns nodes x_i and weights w_i such that the integral is
-    sum_i w_i f(x_i); the power-law factor is absorbed into the weights.
-    """
-    if beta <= -1.0:
-        raise DomainError("power-law exponent must be > -1 for integrability")
-    x, w = roots_jacobi(n, 0.0, beta)
-    scale = ((b - a) / 2.0) ** (beta + 1.0)
-    nodes = a + (b - a) * (x + 1.0) / 2.0
-    return nodes, scale * w
 
 
 def linear_scan(q: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -21,8 +21,7 @@ from awgp.gauss_aw import continuous_aw_fbm, discretized_fbm_aw, triangular_inte
 from awgp.kernels import (Brownian, FractionalOU, IntensityMeasure, covariance,
                           eval_fou_kernel, fbm_spec)
 from awgp.mart_approx import mart_approx_distance, optimal_volatility
-from awgp.oracles import (bruteforce_discrete_cross_term, cholesky_marginal_paths,
-                          mc_formula_check, psd_feasibility_sampler, quadrature_crosscheck)
+from awgp.oracles import bruteforce_discrete_cross_term, mc_formula_check, psd_feasibility_sampler
 from awgp.quadrature import QuadratureGrid
 
 BM = Brownian(T=1.0)
@@ -41,11 +40,6 @@ def _scenario_cfg(**overrides):
 
 def _piecewise(**fields):
     return build_controls([{"kind": "random_piecewise", **fields}], T=1.0)
-
-
-def _crosscheck(**scheme):
-    return quadrature_crosscheck(np.cos, 0.0, 1.0, {"scheme": "graded_midpoint", "n": 64},
-                                 {"scheme": "graded_gauss", "n": 64, **scheme})
 
 
 # (argument name in the message, its minimum, the call taking it)
@@ -76,15 +70,10 @@ COUNTS = {
         "n_steps", 1, lambda v: mc_formula_check(fbm_spec(0.5), fbm_spec(0.75), n_steps=v)),
     "bruteforce-grid_steps": (
         "grid_steps", 2, lambda v: bruteforce_discrete_cross_term(np.eye(2), np.eye(2), v)),
-    "quadrature_crosscheck-n": ("scheme n", 1, lambda v: _crosscheck(n=v)),
-    "quadrature_crosscheck-order": ("scheme order", 1, lambda v: _crosscheck(order=v)),
     "config-fou-n_inner": ("fOU node count", 8,
                            lambda v: build_kernel({"kind": "fou", "h": 0.7, "n_inner": v}, 1.0)),
     "lamperti_inverse_interpolator-n": (
         "n", 2, lambda v: lamperti_inverse_interpolator(np.cosh, 0.0, (-1.0, 1.0), n=v)),
-    "cholesky_marginal_paths-n_paths": (
-        "n_paths", 1, lambda v: cholesky_marginal_paths(BM, IntensityMeasure.lebesgue(),
-                                                        np.array([0.5, 1.0]), v, seed=0)),
     "psd_feasibility_sampler-n_samples": (
         "n_samples", 1, lambda v: next(psd_feasibility_sampler(np.eye(2), np.eye(2), v))),
     "config-random_piecewise-cells": ("random_piecewise cells", 1, lambda v: _piecewise(cells=v)),
@@ -107,6 +96,7 @@ HORIZONS = {
     "build_process_spec": lambda T: build_process_spec(
         {"T": T, "components": [{"kernel": {"kind": "mg", "h": 0.7}}]}),
     "build_scenario": lambda T: build_scenario(_scenario_cfg(T=T)),
+    "piecewise_constant": lambda T: CouplingControl.piecewise_constant([0.5, -0.5], T),
 }
 
 

@@ -111,6 +111,30 @@ class TestAwFbm:
                 "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    # each mode refuses the flags only the other reads; once a sweep dropped --h1 and
+    # --correlations and wrote CSV under --format json, and a pair dropped the ranges
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("fields,refused", [
+        ({"sweep": True, "h1": 0.3, "format": "json", "correlations": True},
+         ["--h1", "--correlations"]),
+        ({"sweep": True, "h2": 0.0}, ["--h2"]),
+        ({"h1": 0.3, "h2": 0.5, "h1_range": "0.1:0.2:2"}, ["--h1-range"]),
+        ({"h1": 0.3, "h2": 0.5, "h2_range": "0.1:0.2:2"}, ["--h2-range"]),
+    ], ids=["sweep-h1-correlations", "sweep-h2", "pair-h1-range", "pair-h2-range"])
+    def test_flag_of_the_other_mode_exit_2(self, fields, refused, via_config, tmp_path, capsys):
+        out_path = tmp_path / "out.txt"
+        argv = ["aw-fbm", "--grid", "8", "--output", str(out_path)]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(fields))
+            argv += ["--config", str(cfg)]
+        else:
+            for key, value in fields.items():
+                argv += ["--" + key.replace("_", "-")] + ([] if value is True else [str(value)])
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and not out_path.exists()
+        assert all(flag in err for flag in refused)
+
     def test_missing_flags_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "aw-fbm", "--h1", "0.5")
         assert code == 2

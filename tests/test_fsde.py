@@ -96,11 +96,27 @@ class TestCoupledNoise:
         lambda: CouplingControl.tabulated([], []),
         lambda: build_controls([{"kind": "random_piecewise", "cells": 0}], T=1.0),
         lambda: build_controls([{"kind": "random_piecewise", "cells": -2}], T=1.0),
+        lambda: CouplingControl(kind="bogus"),
+        lambda: CouplingControl(kind="piecewise_constant", values=[0.5, -0.5]),
+        lambda: CouplingControl(kind="piecewise_constant", values=[0.5, -0.5], times=[0.5, 0.0]),
+        lambda: CouplingControl(kind="tabulated", times=[0.0, 1.0]),
+        lambda: CouplingControl(kind="synchronous", values=[0.5]),
+        lambda: CouplingControl(kind="antithetic", values=[-1.0], times=[0.0]),
+        lambda: CouplingControl(kind="independent", times=[0.0]),
     ], ids=["empty", "nan", "inf", "times-decreasing", "times-repeated", "times-nan",
-            "length-mismatch", "tabulated-empty", "no-cells", "negative-cells"])
+            "length-mismatch", "tabulated-empty", "no-cells", "negative-cells", "unknown-kind",
+            "piecewise-no-times", "piecewise-times-decreasing", "tabulated-no-values",
+            "synchronous-values", "antithetic-values", "independent-times"])
     def test_bad_control_values_rejected(self, make):
         with pytest.raises(DomainError):
             make()
+
+    def test_direct_construction_is_whole(self):
+        # the control's arrays are its own float copies, checked like the factories' tables
+        direct = CouplingControl(kind="piecewise_constant", values=[0.5, -0.5], times=[0.0, 0.5])
+        made = CouplingControl.piecewise_constant([0.5, -0.5], T=1.0)
+        for control in (direct, made):
+            np.testing.assert_array_equal(control.rho_at([0.1, 0.6]), [0.5, -0.5])
 
     def test_grid_too_coarse(self):
         with pytest.raises(DomainError):
@@ -552,6 +568,18 @@ class TestAssumptionChecker:
                         noise_kernel=BM, T=1.0)
         rep = assumption_checker(spec, state_range=(0.0, 1.0))
         assert not rep.checks["sigma_positive"]["passed"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("state_range", [(1.0, 1.0), (1.0, -1.0), (np.nan, 1.0),
+                                             (-1.0, np.inf)],
+                             ids=["empty", "reversed", "nan", "inf"])
+    def test_bad_state_range_rejected(self, state_range):
+        # an empty range divided by dx = 0; a reversed one flipped the b/sigma verdict
+        spec = FsdeSpec(drift=lambda x: x, diffusion=make_diffusion("const")[0], x0=0.0,
+                        noise_kernel=BM, T=1.0)
+        with pytest.raises(DomainError, match="state_range"):
+            assumption_checker(spec, state_range=state_range)
+        assert assumption_checker(spec, state_range=(-1.0, 1.0)).drift_sigma_ratio_monotone
 
     def test_report_serializes(self):
         spec = FsdeSpec(drift=np.tanh, diffusion=make_diffusion({"name": "const", "c": 1.0})[0],

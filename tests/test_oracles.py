@@ -8,10 +8,10 @@ from awgp.errors import DomainError
 from awgp.gauss_aw import (_graded_unit_nodes, _self_similar_cross, cholesky_causal_factor,
                            continuous_aw_fbm, continuous_aw_unit)
 from awgp.kernels import (Brownian, FractionalOU, GaussianProcessSpec, IntensityMeasure,
-                          MolchanGolosov, RiemannLiouville, _unit_row, covariance, fbm_spec)
-from awgp.oracles import (OracleVerdict, bruteforce_discrete_cross_term, cholesky_marginal_paths,
-                          fbm_aw_reference, get_golden, load_goldens, mc_formula_check,
-                          psd_feasibility_sampler, quadrature_crosscheck, regenerate_goldens)
+                          MolchanGolosov, RiemannLiouville, _unit_row, fbm_spec)
+from awgp.oracles import (bruteforce_discrete_cross_term, fbm_aw_reference, get_golden,
+                          load_goldens, mc_formula_check, psd_feasibility_sampler,
+                          regenerate_goldens)
 from awgp.quadrature import QuadratureGrid
 
 
@@ -111,56 +111,6 @@ class TestPsdSampler:
     def test_non_psd_rejected(self):
         with pytest.raises(DomainError):
             list(psd_feasibility_sampler(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2), 1))
-
-
-class TestQuadratureCrosscheck:
-    def test_smooth(self):
-        v = quadrature_crosscheck(lambda t: t, 0.0, 1.0,
-                                  {"scheme": "graded_midpoint", "n": 256, "gamma": 1.0},
-                                  {"scheme": "graded_gauss", "n": 256, "gamma": 1.0})
-        assert v.passed
-        assert v.target == pytest.approx(0.5, rel=1e-6)
-
-    def test_power_kink(self):
-        h = 0.75
-        v = quadrature_crosscheck(lambda s: (1.0 - s) ** (h - 0.5), 0.0, 1.0,
-                                  {"scheme": "graded_midpoint", "n": 512, "gamma": 3.0,
-                                   "cluster": "right"},
-                                  {"scheme": "graded_gauss", "n": 512, "gamma": 3.0,
-                                   "cluster": "right"}, singular=True)
-        assert v.passed
-        assert v.target == pytest.approx(1.0 / (h + 0.5), rel=1e-4)
-
-    def test_gauss_jacobi_scheme(self):
-        # full integrand s^0.25 with the endpoint exponent declared to the rule
-        v = quadrature_crosscheck(lambda s: s ** 0.25, 0.0, 1.0,
-                                  {"scheme": "gauss_jacobi", "n": 32, "beta": 0.25},
-                                  {"scheme": "graded_midpoint", "n": 2048, "gamma": 3.0},
-                                  rtol=1e-4)
-        assert v.passed
-        assert v.target == pytest.approx(0.8, rel=1e-10)
-
-    def test_verdict_compare_modes(self):
-        v = OracleVerdict.compare(1.0, 1.001, 0.01, mode="rel")
-        assert v.passed
-        v = OracleVerdict.compare(1.0, 1.1, 0.01, mode="abs")
-        assert not v.passed
-
-
-class TestCholeskyMarginals:
-    def test_marginal_law_crosscheck(self):
-        # exact-Cholesky generator agrees with the increment generator in law
-        mg = MolchanGolosov(T=1.0, h=0.7)
-        leb = IntensityMeasure.lebesgue()
-        times = np.array([0.25, 0.5, 0.75, 1.0])
-        n = 20_000
-        paths = cholesky_marginal_paths(mg, leb, times, n, seed=11)
-        grid = QuadratureGrid(n_t=512)
-        for i, t in enumerate(times):
-            target = covariance(mg, leb, float(t), float(t), grid)
-            var = paths[:, i].var(ddof=1)
-            se = var * np.sqrt(2.0 / (n - 1))
-            assert abs(var - target) < 4.0 * se
 
 
 class TestFbmReference:
