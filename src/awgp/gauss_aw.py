@@ -39,8 +39,9 @@ from .kernels import (Brownian, CallableKernel, ConstantVolatility, GaussianProc
                       IntensityMeasure, MolchanGolosov, VolterraKernel, _check_hurst,
                       _conv_profile, _same_kernels, _unit_row, _UnitRow, covariance, fbm_spec)
 # graded_gauss goes unused here: the benchmark tracer binds it by name
-from .quadrature import (QuadratureGrid, graded_gauss, graded_midpoint,  # noqa: F401
-                         grading_exponent, linear_scan)
+from .quadrature import (_W16, _X16, QuadratureGrid, _graded_unit_nodes,  # noqa: F401
+                         _unit_gauss, graded_gauss, graded_midpoint, grading_exponent,
+                         linear_scan)
 
 __all__ = [
     "CovMatrix",
@@ -229,8 +230,8 @@ def _pair_gammas(kernels1: Sequence[VolterraKernel], kernels2: Sequence[Volterra
 
 
 def _t_matrix(s: np.ndarray, T: float, n_t: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-s-node t-quadrature on [s, T], clustered at t = s; shapes (n_s, n_t)."""
-    u, w = graded_midpoint(0.0, 1.0, n_t, gamma=gamma, cluster="left")
+    """Per-s-node t-quadrature on [s, T], graded toward t = s; shapes (n_s, n_t)."""
+    u, w = graded_midpoint(0.0, 1.0, n_t, gamma=gamma)
     span = (T - s)[:, None]
     return s[:, None] + span * u[None, :], span * w[None, :]
 
@@ -258,7 +259,7 @@ def _nodes(measure: IntensityMeasure, T: float, grid: QuadratureGrid, gamma_s: f
     if measure.is_singular:
         s, ws = _cells(measure, T, grid.n_s)
     else:
-        s, ws = graded_midpoint(0.0, T, grid.n_s, gamma=gamma_s, cluster="left")
+        s, ws = graded_midpoint(0.0, T, grid.n_s, gamma=gamma_s)
     t_mat, w_mat = _t_matrix(s, T, grid.n_t, gamma_t)
     return s, ws, t_mat, w_mat
 
@@ -420,39 +421,8 @@ def _lebesgue_row(spec: GaussianProcessSpec) -> _UnitRow | None:
     return _unit_row(kernel) if measure.is_lebesgue else None
 
 
-def _unit_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-_X16, _W16 = _unit_gauss(16)
 _GAUSS6 = _unit_gauss(6)
 _END_NODES = 32  # end rule of the cumulative integrals, whose nodes reach within 1e-8 of the end
-
-
-def _graded_unit_nodes(beta0: float, beta1: float, n: int
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes s, offsets d = 1 - s and weights of a rule on [0, 1] for an integrand that behaves
-    as s^beta0 at s -> 0 and as d^beta1 at s -> 1: max(n // 16, 2) order-16 Gauss-Legendre
-    panels, graded by 1/4 toward both ends; an end's innermost panel [0, eps] takes eps v^p,
-    p = q/(beta+1) (the power now v^(q-1)), q = 4 unless p would pass 12, down to q = 1: a
-    steeper p pushes the next powers beyond the panel's degree.  The s -> 1 half is built as
-    offsets, so d is exact where s rounds to 1."""
-    x, w = _X16, _W16
-    n = 16 * max(n // 16, 2)
-    m0 = n // 16 - n // 32  # panels at the s -> 0 end, n // 32 at the s -> 1 end
-    levels = [np.arange(m) * min(1.0, 60.0 / m) for m in (m0, n // 32)]  # past 60 the ratio widens
-    edges = 0.5 * 0.25 ** np.concatenate(levels)  # distances of both ends' panel edges to the end
-    span = edges[:-1, None] - edges[1:, None]
-    u, wu = np.empty((2, edges.size, 16))  # one row per panel; each end's last is set below
-    u[:-1], wu[:-1] = edges[1:, None] + span * x, span * w
-    for i, beta in ((m0 - 1, beta0), (-1, beta1)):  # each end's innermost panel
-        q = min(4, max(1, int(12.0 * (beta + 1.0))))
-        p = min(q / (beta + 1.0), 100.0)  # the cap keeps eps v^p a normal float
-        u[i], wu[i] = edges[i] * x ** p, edges[i] * p * x ** (p - 1.0) * w
-    return (np.concatenate([u[:m0], 1.0 - u[m0:]], axis=None),
-            np.concatenate([1.0 - u[:m0], u[m0:]], axis=None), wu.ravel())
 
 
 def _tail_integrals(row: _UnitRow, a: float, y: np.ndarray, d: np.ndarray, n_end: int,
@@ -709,8 +679,8 @@ def triangular_integral(spec1: GaussianProcessSpec, spec2: GaussianProcessSpec,
     edges = np.linspace(0.0, T, partition_count + 1)
     graded = k1.origin_exponent > 0 or k2.origin_exponent > 0
     r, w = (np.array(x) for x in zip(*(
-        graded_midpoint(edges[c], edges[c + 1], q, cluster="left",
-                        gamma=gamma_s if c == 0 and graded else 1.0) for c in range(partition_count))))
+        graded_midpoint(edges[c], edges[c + 1], q, gamma=gamma_s if c == 0 and graded else 1.0)
+        for c in range(partition_count))))
     rho1, rho2 = meas1.density_at(r) * w, meas2.density_at(r) * w
     # pair (r_i, r_j) of a cell's increasing nodes takes k1 on row (top, i) and k2 on row
     # (top, j), top = max(i, j), of the q(q+1)/2 rows k(t-grid of r_a, r_b), b <= a

@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_horizon
-from .gauss_aw import (_END_NODES, _clamped_at_zero, _graded_unit_nodes, _normal_trace,
-                       _run_with_crosscheck, _tail_integrals)
+from .gauss_aw import (_END_NODES, _clamped_at_zero, _normal_trace, _run_with_crosscheck,
+                       _tail_integrals)
 # eval_mg_kernel and graded_gauss go unused here: the benchmark tracer binds them by name
 from .kernels import MolchanGolosov, _check_hurst, _unit_row, eval_mg_kernel  # noqa: F401
-from .quadrature import (QuadratureGrid, graded_gauss, graded_midpoint,  # noqa: F401
-                         grading_exponent)
+from .quadrature import (QuadratureGrid, _graded_unit_nodes, graded_gauss,  # noqa: F401
+                         graded_midpoint, grading_exponent)
 
 __all__ = ["MartingaleApproxResult", "optimal_volatility", "mart_approx_distance"]
 

@@ -25,8 +25,7 @@ from scipy.special import hyp2f1 as scipy_hyp2f1
 from .errors import DomainError, check_count
 from .fsde import _BLOCK, CouplingControl, _coupling, _noise_block
 from .gauss_aw import TriangularFactor, cholesky_causal_factor, continuous_aw_unit, _psd_sqrt
-from .kernels import (GaussianProcessSpec, IntensityMeasure, MolchanGolosov, _mg_const,
-                      covariance, eval_fou_kernel, fbm_spec)
+from .kernels import GaussianProcessSpec, MolchanGolosov, _mg_const, eval_fou_kernel
 from .mart_approx import mart_approx_distance, optimal_volatility
 from .quadrature import QuadratureGrid, graded_midpoint
 
@@ -296,13 +295,8 @@ def regenerate_goldens(path) -> dict:
         raise DomainError(f"fBM distance oracle disagreement {gaps} during regeneration")
     put("aw2_fbm_h050_h075_T1", ref, "mpmath_self_similar_tanh_sinh", {"dps": 20, **gaps})
 
-    cov_val = covariance(fbm_spec(0.75).components[0][0], IntensityMeasure.lebesgue(),
-                         1.0, 0.5, QuadratureGrid(n_t=1024))
-    put("cov_mg075_t100_s050", cov_val, "mc_covariance_crossref_closed_form",
-        {"closed_form": 0.5, "quad_nodes": 1024})
-
     # triangular integral, one cell, Brownian kernels: 2D quadrature oracle
-    u, w = graded_midpoint(0.0, 1.0, 2048, gamma=1.0, cluster="left")
+    u, w = graded_midpoint(0.0, 1.0, 2048, gamma=1.0)
     inner = 1.0 - np.maximum(u[:, None], u[None, :])
     tri_oracle = float(np.sqrt(np.sum(inner ** 2 * w[:, None] * w[None, :])))
     put("triangular_p1_bm", tri_oracle, "direct_2d_quadrature", {"n": 2048})

@@ -14,9 +14,9 @@ import pytest
 from awgp.cli import main
 from awgp.config import build_controls, build_kernel, build_process_spec, build_scenario
 from awgp.errors import DomainError
-from awgp.fsde import (CouplingControl, FsdeSpec, estimate_coupling_cost, lamperti_inverse,
-                       lamperti_inverse_interpolator, lamperti_transform, make_diffusion,
-                       make_drift, simulate_coupled_noise)
+from awgp.fsde import (CouplingControl, FsdeSpec, estimate_coupling_cost,
+                       lamperti_inverse_interpolator, make_diffusion, make_drift,
+                       simulate_coupled_noise)
 from awgp.gauss_aw import continuous_aw_fbm, discretized_fbm_aw, triangular_integral
 from awgp.kernels import (Brownian, FractionalOU, IntensityMeasure, covariance,
                           eval_fou_kernel, fbm_spec)

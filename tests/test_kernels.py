@@ -17,7 +17,7 @@ from awgp.kernels import (Brownian, CallableKernel, ConstantVolatility, Fraction
 from awgp.fsde import _kernel_matrix
 from awgp.gauss_aw import _nodes, _pair_gammas
 from awgp.oracles import get_golden
-from awgp.quadrature import QuadratureGrid, graded_gauss, graded_midpoint
+from awgp.quadrature import QuadratureGrid, _graded_unit_nodes, graded_gauss
 from awgp.specfun import gamma_fn, hyp2f1
 
 
@@ -240,8 +240,7 @@ def _pointwise_rule(kernel, t, s):
     """The MG-base inner integral on 2 n_inner graded nodes over [s, t] at every point
     (0 < s < t)."""
     a = -kernel.lam if kernel.convention == "mild" else kernel.lam
-    u, w = graded_gauss(0.0, 1.0, kernel.n_inner // 2, order=4,
-                        gamma=6.0 / (kernel.h + 0.5), cluster="left")
+    u, w = graded_gauss(0.0, 1.0, kernel.n_inner // 2, order=4, gamma=6.0 / (kernel.h + 0.5))
     r = s[:, None] + (t - s)[:, None] * u[None, :]
     k_inner = eval_mg_kernel(kernel.h, r.ravel(), np.repeat(s, u.size)).reshape(r.shape)
     inner = np.sum(np.exp(a * (t[:, None] - r)) * k_inner * ((t - s)[:, None] * w[None, :]),
@@ -313,7 +312,8 @@ class TestFouRecursion:
         rng = np.random.default_rng(11)
         s = rng.uniform(0.01, 0.9, 300)
         t = s + rng.uniform(1e-4, 0.5, 300)
-        r, _ = graded_midpoint(0.0, 1.0, 64, gamma=2.5, cluster="both")  # as covariance lays out
+        # the nodes covariance lays out for k(1, r) k(s, r), s < 1
+        r, _, _ = _graded_unit_nodes(-2.0 * k.origin_exponent, k.diag_exponent, 64)
         for tv, sv in ((t, s), (np.ones_like(r), r)):
             if base == "mg":
                 assert np.array_equal(k.eval(tv, sv), _pointwise_rule(k, tv, sv))
@@ -456,11 +456,32 @@ class TestCovariance:
         assert val == pytest.approx(0.3, rel=1e-10)
 
     def test_mg_075_matches_fbm_closed_form(self):
-        golden = get_golden("cov_mg075_t100_s050")
         val = covariance(MolchanGolosov(T=1.0, h=0.75), IntensityMeasure.lebesgue(), 1.0, 0.5,
                          QuadratureGrid(n_t=1024))
-        assert val == pytest.approx(golden, rel=1e-12)
-        assert val == pytest.approx(0.5, abs=1e-3)
+        assert val == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("h", np.round(np.arange(1, 20) * 0.05, 2))
+    def test_mg_meets_fbm_closed_form(self, h):
+        # the rule takes the r^(-2|H - 1/2|) origin and (s - r)^(H - 1/2) diagonal ends exactly
+        for t, s in ((1.0, 0.5), (0.7, 0.3), (0.9, 0.2), (0.3, 0.25)):
+            exact = 0.5 * (t ** (2 * h) + s ** (2 * h) - (t - s) ** (2 * h))
+            val = covariance(MolchanGolosov(h=h), IntensityMeasure.lebesgue(), t, s)
+            assert val == pytest.approx(exact, rel=1e-9), (t, s)
+
+    @pytest.mark.parametrize("h", np.round(np.arange(6, 20) * 0.05, 2))
+    def test_variances_meet_closed_forms(self, h):
+        # t = s doubles the diagonal power; below H = 0.3 rounding of t - r limits the variance
+        rl_unit = 1.0 / (2 * h * sp_gamma(h + 0.5) ** 2)
+        for t in (1.0, 0.7, 0.3):
+            for kernel, exact in ((MolchanGolosov(h=h), 1.0), (RiemannLiouville(h=h), rl_unit)):
+                val = covariance(kernel, IntensityMeasure.lebesgue(), t, t)
+                assert val == pytest.approx(exact * t ** (2 * h), rel=1e-9), (kernel, t)
+
+    def test_one_node_grid(self):
+        # the rule keeps its 32-node floor: no 0/0 and no NaN node at n_t = 1
+        val = covariance(Brownian(T=1.0), IntensityMeasure.lebesgue(), 1.0, 0.5,
+                         QuadratureGrid(n_t=1))
+        assert val == pytest.approx(0.5, rel=1e-12)
 
     def test_symmetry(self):
         k = MolchanGolosov(T=1.0, h=0.7)

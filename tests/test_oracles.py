@@ -1,18 +1,17 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 from awgp.errors import DomainError
-from awgp.gauss_aw import (_graded_unit_nodes, _self_similar_cross, cholesky_causal_factor,
-                           continuous_aw_fbm, continuous_aw_unit)
+from awgp.gauss_aw import (_self_similar_cross, cholesky_causal_factor, continuous_aw_fbm,
+                           continuous_aw_unit)
 from awgp.kernels import (Brownian, FractionalOU, GaussianProcessSpec, IntensityMeasure,
                           MolchanGolosov, RiemannLiouville, _unit_row, fbm_spec)
 from awgp.oracles import (bruteforce_discrete_cross_term, fbm_aw_reference, get_golden,
                           load_goldens, mc_formula_check, psd_feasibility_sampler,
                           regenerate_goldens)
-from awgp.quadrature import QuadratureGrid
+from awgp.quadrature import QuadratureGrid, _graded_unit_nodes
 
 
 class TestBruteforce:
